@@ -6,7 +6,8 @@ fg-matrix), the moduli layer (embed, check, reconstruct, roundtrip) and
 the verification sweeps (verify-kernel, verify-surjectivity).  With
 --json the report is machine-readable and byte-identical across runs
 for identical inputs and seed; timing is only shown in human mode.
-Exit codes: 0 success, 1 verification failure, 2 malformed input.
+Exit codes: 0 success, 1 verification failure or inconclusive check,
+2 malformed input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fibers, moduli, quiver as qv, tableaux
 from .linalg import rat
@@ -26,11 +26,20 @@ class InputError(ValueError):
     """Malformed command-line input or input file."""
 
 
-def _partition(text: str) -> Partition:
+def _partition(text: str, max_rows: int | None = None) -> Partition:
     try:
-        return Partition([int(p) for p in text.split(",") if p != ""])
+        lam = Partition([int(p) for p in text.split(",") if p != ""])
     except ValueError as exc:
         raise InputError(f"bad partition {text!r}: {exc}") from exc
+    if max_rows is not None and lam.num_rows > max_rows:
+        raise InputError(f"partition {text!r} has more than {max_rows} rows")
+    return lam
+
+
+def _gl_dimension(gam: Partition, n: int) -> int:
+    if gam.num_rows > n:
+        raise InputError(f"{gam.parts} has more than --n {n} rows")
+    return tableaux.gl_dimension(gam, n)
 
 
 def _load_json(path: str) -> dict:
@@ -41,38 +50,32 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _pool_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_lr(args) -> tuple[dict, bool]:
     lam, gam, mu = _partition(args.lam), _partition(args.gam), _partition(args.mu)
     return {"lr": tableaux.lr_number(lam, gam, mu)}, True
 
 
 def cmd_ssyt_count(args) -> tuple[dict, bool]:
+    if args.max_entry < 1:
+        raise InputError("--max-entry must be at least 1")
     shape = SkewShape(_partition(args.inner), _partition(args.outer))
     count = len(tableaux.enumerate_ssyt(shape, args.max_entry))
     return {"count": count}, True
 
 
 def cmd_gamma(args) -> tuple[dict, bool]:
-    gams = tableaux.gamma_set(_partition(args.lam), _partition(args.mu))
+    gams = tableaux.gamma_set(_partition(args.lam, 2), _partition(args.mu, 2))
     return {"gamma": [g.to_json(2) for g in gams]}, True
 
 
 def cmd_gl_dim(args) -> tuple[dict, bool]:
     gam = _partition(args.gam)
-    return {"gamma": gam.to_json(2), "n": args.n, "dim": tableaux.gl_dimension(gam, args.n)}, True
+    return {"gamma": gam.to_json(2), "n": args.n, "dim": _gl_dimension(gam, args.n)}, True
 
 
 def cmd_hom_dim(args) -> tuple[dict, bool]:
-    lam, mu = _partition(args.lam), _partition(args.mu)
-    gams = tableaux.gamma_set(lam, mu)
-    dims = [tableaux.gl_dimension(g, args.n) for g in gams]
+    gams = tableaux.gamma_set(_partition(args.lam, 2), _partition(args.mu, 2))
+    dims = [_gl_dimension(g, args.n) for g in gams]
     return {"gamma": [g.to_json(2) for g in gams], "dims": dims, "total": sum(dims)}, True
 
 
@@ -166,44 +169,41 @@ def cmd_reconstruct(args) -> tuple[dict, bool]:
     return {"point": point.to_json(), "gauge": gauge.to_json()}, True
 
 
-def cmd_verify_kernel(args) -> tuple[dict, bool]:
-    q = qv.build_quiver(args.n)
-    if args.lam or args.mu:
-        if not (args.lam and args.mu):
-            raise InputError("--lam and --mu must be given together")
-        pairs = [(tuple(_partition(args.lam).padded(2)), tuple(_partition(args.mu).padded(2)))]
-        if not all(q.has_vertex(v) for pair in pairs for v in pair):
-            raise InputError("endpoints must be quiver vertices")
-    else:
-        pairs = qv.containment_pairs(q, args.max_degree)
-    reports = _pool_map(lambda p: qv.kernel_report(q, p[0], p[1]), pairs, args.threads)
+def _selected_pairs(q: qv.TiltingQuiver, args) -> list[tuple]:
+    """The one pair named by --lam/--mu, or every containment pair up to
+    --max-degree."""
+    if not (args.lam or args.mu):
+        return qv.containment_pairs(q, args.max_degree)
+    if not (args.lam and args.mu):
+        raise InputError("--lam and --mu must be given together")
+    pair = (tuple(_partition(args.lam).padded(2)), tuple(_partition(args.mu).padded(2)))
+    if not all(q.has_vertex(v) for v in pair):
+        raise InputError("endpoints must be quiver vertices")
+    return [pair]
+
+
+def _pair_reports(reports: list[dict]) -> tuple[dict, bool]:
     reports.sort(key=lambda r: (qv.vertex_key(tuple(r["lam"])), qv.vertex_key(tuple(r["mu"]))))
     ok = all(r["ok"] for r in reports)
     if len(reports) == 1:
         return dict(reports[0]), ok
     return {"pairs": reports, "ok": ok}, ok
+
+
+def cmd_verify_kernel(args) -> tuple[dict, bool]:
+    try:
+        qv.max_paths_limit()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    q = qv.build_quiver(args.n)
+    return _pair_reports([qv.kernel_report(q, lam, mu) for lam, mu in _selected_pairs(q, args)])
 
 
 def cmd_verify_surjectivity(args) -> tuple[dict, bool]:
-    q = qv.build_quiver(args.n)
-    if args.lam or args.mu:
-        if not (args.lam and args.mu):
-            raise InputError("--lam and --mu must be given together")
-        pairs = [(tuple(_partition(args.lam).padded(2)), tuple(_partition(args.mu).padded(2)))]
-        if not all(q.has_vertex(v) for pair in pairs for v in pair):
-            raise InputError("endpoints must be quiver vertices")
-    else:
-        pairs = qv.containment_pairs(q, args.max_degree)
-    reports = _pool_map(
-        lambda p: fibers.surjectivity_rank(args.n, p[0], p[1], args.samples, args.seed),
-        pairs,
-        args.threads,
+    pairs = _selected_pairs(qv.build_quiver(args.n), args)
+    return _pair_reports(
+        [fibers.surjectivity_rank(args.n, lam, mu, args.samples, args.seed) for lam, mu in pairs]
     )
-    reports.sort(key=lambda r: (qv.vertex_key(tuple(r["lam"])), qv.vertex_key(tuple(r["mu"]))))
-    ok = all(r["ok"] for r in reports)
-    if len(reports) == 1:
-        return dict(reports[0]), ok
-    return {"pairs": reports, "ok": ok}, ok
 
 
 def _roundtrip_once(n: int, seed, trial: int) -> dict:
@@ -223,9 +223,9 @@ def _roundtrip_once(n: int, seed, trial: int) -> dict:
 
 
 def cmd_roundtrip(args) -> tuple[dict, bool]:
-    results = _pool_map(
-        lambda t: _roundtrip_once(args.n, args.seed, t), range(args.trials), args.threads
-    )
+    if args.n < 4:
+        raise InputError("--n must be at least 4")
+    results = [_roundtrip_once(args.n, args.seed, t) for t in range(args.trials)]
     failures = [r for r in results if not r["ok"]]
     return {"trials": args.trials, "failures": failures, "ok": not failures}, not failures
 
@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", default="0", help="seed for all randomness")
-        p.add_argument("--threads", type=int, default=1, help="worker pool size")
+        # Accepted for compatibility and ignored: every command runs on one
+        # thread, since a thread pool gave no speed-up under the GIL.
+        p.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
         return p
 
     p = add("lr", cmd_lr, help="Littlewood-Richardson number")
@@ -342,10 +344,7 @@ def run(argv=None) -> int:
     start = time.monotonic()
     try:
         results, ok = args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (qv.BadNError, qv.PathSpaceTooLargeError, tableaux.NotContainedError, ValueError) as exc:
+    except (InputError, qv.BadNError, qv.PathSpaceTooLargeError, tableaux.NotContainedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - start) * 1000)

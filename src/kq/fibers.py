@@ -9,16 +9,20 @@ part; sum over wedge pairings with a section), provides a symbolic
 evaluator that derives the same matrices directly from the definitions
 (the test oracle for the banded formulas), and composes them along the
 horizontal-then-vertical staircase between two weights.
+
+`surjectivity_rank` certifies that these compositions span the graded
+map space.  It evaluates them at seeded integer points in plain integer
+arithmetic, eliminates mod a fixed prime until the rank reaches
+`hom_dim`, and falls back to an exact integer rank when it does not.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 from typing import Mapping, Sequence
 
-from .linalg import FormalLinComb, RatMatrix, rat, rat_to_json
+from .linalg import FormalLinComb, ModPrimeEchelon, RatMatrix, int_row_rank, rat, rat_to_json
 from .tableaux import NotContainedError, Partition, hom_dim
 
 
@@ -321,83 +325,86 @@ def sample_point(n: int, seed, bound: int = 9) -> GrPoint:
     return GrPoint(RatMatrix(rows))
 
 
-def _insert_int_row(echelon: list[tuple[int, list[int]]], row: list[int]) -> bool:
-    """Reduce an integer row against an echelon (sorted by pivot) and add
-    it when independent; exact over the rationals since rows are only
-    ever rescaled."""
-    for p, prow in echelon:
-        v = row[p]
-        if v:
-            lead = prow[p]
-            row = [lead * x - v * y for x, y in zip(row, prow)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                row = [x // g for x in row]
-    pivot = next((i for i, x in enumerate(row) if x), None)
-    if pivot is None:
-        return False
-    echelon.append((pivot, row))
-    echelon.sort(key=lambda t: t[0])
-    return True
+def _sample_rows(seq: Sequence[Partition], y: GrPoint) -> list[list[int]]:
+    """The staircase compositions of every column word at an integer
+    point, as integer rows: one row per matrix entry (i, j), one column
+    per word, words in lexicographic order.
+
+    The banded step matrices are built once per step and column, and the
+    products share their common prefixes.
+    """
+    steps = []
+    for tau, nxt in zip(seq, seq[1:]):
+        make = f_matrix if nxt.part(0) > tau.part(0) else g_matrix
+        level = []
+        for rho in range(1, y.n + 1):
+            m = make(fiber_dim(tau), y.column(rho))
+            level.append([[(c, int(v)) for c, v in enumerate(m.row(i)) if v] for i in range(m.rows)])
+        steps.append(level)
+    d_lam, d_mu = fiber_dim(seq[0]), fiber_dim(seq[-1])
+    thetas: list[list[list[int]]] = []
+
+    def descend(level: int, partial: list[list[int]]):
+        if level == len(steps):
+            thetas.append(partial)
+            return
+        for step in steps[level]:
+            product = []
+            for terms in step:
+                acc = [0] * d_lam
+                for c, v in terms:
+                    acc = [a + v * b for a, b in zip(acc, partial[c])]
+                product.append(acc)
+            descend(level + 1, product)
+
+    descend(0, [[int(i == j) for j in range(d_lam)] for i in range(d_lam)])
+    return [[t[i][j] for t in thetas] for i in range(d_mu) for j in range(d_lam)]
 
 
 def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
     """Evaluation rank of the staircase composition map.
 
-    Stacks the entries of the composed matrices over all column words
-    and `samples` seeded points, and compares the rank of the resulting
-    word-space-to-entries map with the total dimension of the target
-    constituents.  Equality certifies that compositions of elementary
-    maps span the whole graded piece.
+    The entries of the composed matrices over all column words, at
+    seeded integer points, are rows of a map from the word space; its
+    rank never exceeds the total dimension `hom_dim` of the target
+    constituents, and equality certifies that compositions of
+    elementary maps span the whole graded piece.
+
+    Points are drawn one at a time and their rows are eliminated mod
+    `linalg.PRIME`, stopping as soon as the rank reaches `hom_dim` or
+    the draw count reaches max(samples, 2 * ceil(hom_dim / (d_lam * d_mu))).
+    Since rank mod p <= rank over Q <= hom_dim, reaching hom_dim mod p
+    is exact.  On a shortfall the exact rank of the same rows decides:
+    status `ok` at hom_dim, `inconclusive` below it (more points might
+    still reach it), `fail` above it (which the theory excludes).
     """
     lam, mu = Partition.coerce(lam), Partition.coerce(mu)
     seq = staircase(lam, mu)
-    length = len(seq) - 1
-    n_words = n**length
-    points = [sample_point(n, f"{seed}:{s}") for s in range(samples)]
+    n_words = n ** (len(seq) - 1)
     d_mu, d_lam = fiber_dim(mu), fiber_dim(lam)
-
-    # theta matrices for every word, sharing products over common prefixes
-    thetas: list[list[RatMatrix]] = [[] for _ in points]
-
-    def descend(level: int, partials: list[RatMatrix]):
-        if level == length:
-            for s, m in enumerate(partials):
-                thetas[s].append(m)
-            return
-        tau, nxt = seq[level], seq[level + 1]
-        k = fiber_dim(tau)
-        horizontal = nxt.part(0) > tau.part(0)
-        for rho in range(1, n + 1):
-            steps = [
-                f_matrix(k, y.column(rho)) if horizontal else g_matrix(k, y.column(rho))
-                for y in points
-            ]
-            descend(level + 1, [st * m for st, m in zip(steps, partials)])
-
-    descend(0, [RatMatrix.identity(d_lam) for _ in points])
-
-    echelon: list[tuple[int, list[int]]] = []
-    rank = 0
-    for s in range(len(points)):
-        for i in range(d_mu):
-            for j in range(d_lam):
-                row = [int(thetas[s][w][i, j]) for w in range(n_words)]
-                if any(row) and _insert_int_row(echelon, row):
-                    rank += 1
-        if rank == n_words:
-            break
     expected = hom_dim(lam, mu, n)
+    budget = max(samples, 2 * -(-expected // (d_lam * d_mu)))
+
+    echelon = ModPrimeEchelon()
+    drawn = 0
+    while echelon.rank < expected and drawn < budget:
+        for row in _sample_rows(seq, sample_point(n, f"{seed}:{drawn}")):
+            if echelon.insert(row) and echelon.rank == expected:
+                break
+        drawn += 1
+    rank = echelon.rank
+    if rank < expected:
+        # Rebuilt rather than kept: the certified path holds one sample's rows at a time.
+        rows = [r for s in range(drawn) for r in _sample_rows(seq, sample_point(n, f"{seed}:{s}"))]
+        rank = int_row_rank(rows, n_words)
+    status = "ok" if rank == expected else "fail" if rank > expected else "inconclusive"
     return {
         "lam": list(lam.padded(2)),
         "mu": list(mu.padded(2)),
         "words": n_words,
-        "samples": samples,
+        "samples": drawn,
         "rank": rank,
         "hom_dim": expected,
-        "ok": rank == expected,
+        "status": status,
+        "ok": status == "ok",
     }

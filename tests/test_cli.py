@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from kq import fibers
 from kq.cli import run
 from kq.linalg import RatMatrix
 from kq.moduli import QuiverRep, random_point
@@ -159,7 +162,7 @@ def test_embed_check_reconstruct_files(tmp_path, capsys):
     assert code == 1 and report["results"]["error"] == "RelationsViolated"
 
 
-def test_malformed_inputs_exit_2(tmp_path, capsys):
+def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
     code, _ = invoke(capsys, "lr", "--lam", "x", "--gam", "1", "--mu", "1")
     assert code == 2
     code, _ = invoke(capsys, "quiver", "--n", "3")
@@ -172,6 +175,18 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert code == 2
     code, _ = invoke(capsys, "relations", "--n", "4", "--lam", "0,0", "--mu", "3,3")
     assert code == 2
+    monkeypatch.setenv("KQ_MAX_PATHS", "many")
+    code, _ = invoke(capsys, "verify-kernel", "--n", "4", "--lam", "0,0", "--mu", "1,1")
+    assert code == 2
+
+
+def test_internal_value_error_is_not_malformed_input(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(fibers, "surjectivity_rank", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1"])
 
 
 def test_json_output_is_byte_identical(capsys):
@@ -189,6 +204,14 @@ def test_human_and_json_agree_on_verdict(capsys):
     assert "ok: true" in out_h
     assert report["ok"] is True
     assert "elapsed_ms" in out_h and "elapsed_ms" not in json.dumps(report)
+
+
+def test_verify_surjectivity_json_is_byte_identical(capsys):
+    args = ("verify-surjectivity", "--n", "4", "--max-degree", "2", "--seed", "s", "--json")
+    code1, out1 = invoke(capsys, *args)
+    code2, out2 = invoke(capsys, *args)
+    assert code1 == code2 == 0 and out1 == out2
+    assert all(r["status"] == "ok" for r in json.loads(out1)["results"]["pairs"])
 
 
 def test_threads_flag_preserves_results(capsys):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from kq import fibers, linalg
+from kq.cli import run
 from kq.fibers import (
     BadWordLengthError,
     FiberTensor,
@@ -25,7 +27,8 @@ from kq.fibers import (
 )
 from kq.linalg import RatMatrix
 from kq.moduli import random_point
-from kq.tableaux import NotContainedError, Partition
+from kq.quiver import build_quiver, containment_pairs
+from kq.tableaux import NotContainedError, Partition, hom_dim
 
 
 def test_reduce_point_fixes_canonical_matrix():
@@ -174,6 +177,62 @@ def test_surjectivity_rank_small_cases():
     assert r["ok"] and r["rank"] == 10
     r = surjectivity_rank(4, (1, 0), (2, 1), 10, "unit")
     assert r["ok"] and r["rank"] == 16
+    assert r["status"] == "ok" and r["samples"] <= 10
+
+
+def test_surjectivity_gap_four_reaches_hom_dim_with_40_samples():
+    # 40 samples used to stop at rank 40 against hom_dim 50 on
+    # (0,0) -> (2,2); the draw count now follows hom_dim.
+    pairs = containment_pairs(build_quiver(5), 4, min_degree=4)
+    assert len(pairs) == 5
+    for lam, mu in pairs:
+        r = surjectivity_rank(5, lam, mu, 40, "0")
+        assert r["status"] == "ok" and r["ok"], r
+        assert r["rank"] == r["hom_dim"] == hom_dim(lam, mu, 5)
+
+
+def exact_evaluation_rank(n, lam, mu, samples, seed):
+    """Rank over Q of every theta_compose entry at `samples` points."""
+    length = len(staircase(lam, mu)) - 1
+    words = list(itertools.product(range(1, n + 1), repeat=length))
+    rows = []
+    for s in range(samples):
+        y = sample_point(n, f"{seed}:{s}")
+        thetas = [theta_compose(lam, mu, w, y) for w in words]
+        rows += [[t[i, j] for t in thetas] for i in range(thetas[0].rows) for j in range(thetas[0].cols)]
+    return RatMatrix(rows).rank()
+
+
+def test_surjectivity_rank_matches_exact_rank_over_40_points():
+    # The early stop never looks past hom_dim, so the bound
+    # rank <= hom_dim is checked here with exact RatMatrix arithmetic.
+    for n, max_gap in ((4, 3), (5, 2)):
+        for lam, mu in containment_pairs(build_quiver(n), max_gap):
+            r = surjectivity_rank(n, lam, mu, 40, "oracle")
+            exact = exact_evaluation_rank(n, lam, mu, 40, "oracle")
+            assert exact == r["rank"] == r["hom_dim"], (n, lam, mu)
+
+
+def test_surjectivity_falls_back_to_exact_rank(monkeypatch):
+    exact_calls = []
+
+    def spy(rows, width):
+        exact_calls.append(len(rows))
+        return linalg.int_row_rank(rows, width)
+
+    monkeypatch.setattr(linalg, "PRIME", 2)  # rank mod 2 falls short here
+    monkeypatch.setattr(fibers, "int_row_rank", spy)
+    r = surjectivity_rank(4, (0, 0), (2, 2), 10, "unit")
+    assert exact_calls and r["status"] == "ok" and r["rank"] == r["hom_dim"] == 20
+
+
+def test_surjectivity_below_hom_dim_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(fibers, "hom_dim", lambda lam, mu, n: hom_dim(lam, mu, n) + 1)
+    r = surjectivity_rank(4, (0, 0), (1, 1), 10, "unit")
+    assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("inconclusive", False, 6, 7)
+    assert r["samples"] == 14  # the budget: 2 * ceil(7 / 1)
+    code = run(["verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1", "--json"])
+    assert code == 1 and '"status":"inconclusive"' in capsys.readouterr().out
 
 
 def test_point_json_roundtrip_and_validation():

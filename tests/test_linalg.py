@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kq import linalg
 from kq.linalg import (
     FormalLinComb,
     InconsistentSystemError,
+    ModPrimeEchelon,
     RatMatrix,
     SingularMatrixError,
     rat,
@@ -92,6 +94,23 @@ def test_kernel_vectors_annihilate(m):
     assert len(basis) == m.cols - m.rank()
     for v in basis:
         assert (m * v).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_matrix_strategy())
+def test_rank_mod_prime_matches_exact_rank(m):
+    echelon = ModPrimeEchelon()
+    for i in range(m.rows):
+        echelon.insert([int(x) for x in m.row(i)])
+    assert echelon.rank == m.rank()
+
+
+def test_rank_mod_small_prime_is_a_lower_bound(monkeypatch):
+    monkeypatch.setattr(linalg, "PRIME", 2)
+    m = RatMatrix([[1, 1, 0], [1, -1, 2], [2, 0, 2]])  # rank 2 over Q, 1 mod 2
+    echelon = ModPrimeEchelon()
+    assert [echelon.insert([int(x) for x in m.row(i)]) for i in range(3)] == [True, False, False]
+    assert echelon.rank == 1 < m.rank() == 2
 
 
 @settings(max_examples=60, deadline=None)
