@@ -19,7 +19,6 @@ from .tableaux import (
     pieri_row,
     reverse_word,
     skew_decomposition,
-    young_symmetrizer_image,
 )
 from .fibers import (
     FiberTensor,

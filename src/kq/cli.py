@@ -173,6 +173,8 @@ def _selected_pairs(q: qv.TiltingQuiver, args) -> list[tuple]:
     """The one pair named by --lam/--mu, or every containment pair up to
     --max-degree."""
     if not (args.lam or args.mu):
+        if args.max_degree < 1:
+            raise InputError("--max-degree must be at least 1")
         return qv.containment_pairs(q, args.max_degree)
     if not (args.lam and args.mu):
         raise InputError("--lam and --mu must be given together")
@@ -225,6 +227,8 @@ def _roundtrip_once(n: int, seed, trial: int) -> dict:
 def cmd_roundtrip(args) -> tuple[dict, bool]:
     if args.n < 4:
         raise InputError("--n must be at least 4")
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
     results = [_roundtrip_once(args.n, args.seed, t) for t in range(args.trials)]
     failures = [r for r in results if not r["ok"]]
     return {"trials": args.trials, "failures": failures, "ok": not failures}, not failures

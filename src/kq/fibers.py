@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import FormalLinComb, ModPrimeEchelon, RatMatrix, int_row_rank, rat, rat_to_json
+from .linalg import FormalLinComb, ModPrimeEchelon, RatMatrix, SparseEchelon, rat, rat_to_json
 from .tableaux import NotContainedError, Partition, hom_dim
 
 
@@ -71,8 +71,8 @@ class GrPoint:
         n = matrix.cols
         if n < 4:
             raise ValueError("need n >= 4")
-        piv = _leftmost_pivot_pair(matrix)
-        if piv is None:
+        piv = tuple(matrix.pivot_columns())
+        if len(piv) < 2:
             raise RankDeficientError("matrix has rank below 2")
         block = matrix.take_columns(piv)
         if block != RatMatrix.identity(2):
@@ -112,21 +112,6 @@ class GrPoint:
         return reduce_point(m)
 
 
-def _leftmost_pivot_pair(m: RatMatrix) -> tuple[int, int] | None:
-    c1 = None
-    for j in range(m.cols):
-        if m[0, j] or m[1, j]:
-            c1 = j
-            break
-    if c1 is None:
-        return None
-    for j in range(c1 + 1, m.cols):
-        det = m[0, c1] * m[1, j] - m[1, c1] * m[0, j]
-        if det:
-            return (c1, j)
-    return None
-
-
 def reduce_point(m: RatMatrix) -> GrPoint:
     """Canonicalize a full-rank 2 x n matrix by the left GL(2) action.
 
@@ -136,8 +121,8 @@ def reduce_point(m: RatMatrix) -> GrPoint:
     """
     if m.rows != 2:
         raise ValueError("a point is a 2 x n matrix")
-    piv = _leftmost_pivot_pair(m)
-    if piv is None:
+    piv = m.pivot_columns()
+    if len(piv) < 2:
         raise RankDeficientError("matrix has rank below 2")
     block = m.take_columns(piv)
     return GrPoint(block.invert() * m)
@@ -395,8 +380,11 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
     rank = echelon.rank
     if rank < expected:
         # Rebuilt rather than kept: the certified path holds one sample's rows at a time.
-        rows = [r for s in range(drawn) for r in _sample_rows(seq, sample_point(n, f"{seed}:{s}"))]
-        rank = int_row_rank(rows, n_words)
+        exact = SparseEchelon()
+        for s in range(drawn):
+            for row in _sample_rows(seq, sample_point(n, f"{seed}:{s}")):
+                exact.insert(dict(enumerate(row)))
+        rank = exact.rank
     status = "ok" if rank == expected else "fail" if rank > expected else "inconclusive"
     return {
         "lam": list(lam.padded(2)),

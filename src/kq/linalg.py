@@ -2,18 +2,21 @@
 
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always in
 lowest terms).  ``RatMatrix`` is an immutable dense matrix of such scalars
-with exact rank / kernel / inverse / solve via Gaussian elimination, and
+with exact products, inverse, rank and pivot columns, and
 ``FormalLinComb`` is a sparse linear combination over arbitrary hashable
-basis keys.  ``ModPrimeEchelon`` computes ranks of integer rows modulo
-the fixed prime ``PRIME``: since the rank mod a prime never exceeds the
-rank over the rationals, reaching a known upper bound mod ``PRIME``
-certifies the exact rank.  No floating point is used anywhere.
+basis keys.  ``SparseEchelon`` is the one exact integer eliminator: rank
+and pivot columns, the graded slices of the relation ideal and the exact
+fallback of the surjectivity check all insert integer rows into it.
+``ModPrimeEchelon`` computes ranks of integer rows modulo the fixed prime
+``PRIME``: since the rank mod a prime never exceeds the rank over the
+rationals, reaching a known upper bound mod ``PRIME`` certifies the exact
+rank.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -24,10 +27,6 @@ PRIME = 1_073_741_789
 
 class SingularMatrixError(ValueError):
     """Inversion was requested for a matrix of deficient rank."""
-
-
-class InconsistentSystemError(ValueError):
-    """A linear system A X = B has no exact solution."""
 
 
 def rat(x) -> Fraction:
@@ -43,10 +42,6 @@ def rat(x) -> Fraction:
 
 def rat_to_json(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_json(s) -> Fraction:
-    return rat(s)
 
 
 class RatMatrix:
@@ -104,16 +99,6 @@ class RatMatrix:
         data = [sum((list(b.row(i)) for b in blocks), []) for i in range(rows)]
         return cls(data)
 
-    @classmethod
-    def vstack(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
-        if not blocks:
-            raise ValueError("nothing to stack")
-        cols = blocks[0].cols
-        if any(b.cols != cols for b in blocks):
-            raise ValueError("column counts differ")
-        data = [list(b.row(i)) for b in blocks for i in range(b.rows)]
-        return cls(data)
-
     @property
     def rows(self) -> int:
         return self._rows
@@ -135,9 +120,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple:
         return self._e[i * self._cols : (i + 1) * self._cols]
 
-    def col(self, j: int) -> tuple:
-        return self._e[j :: self._cols]
-
     def take_columns(self, idx: Sequence[int]) -> "RatMatrix":
         return RatMatrix([[self[i, j] for j in idx] for i in range(self._rows)])
 
@@ -157,14 +139,6 @@ class RatMatrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return RatMatrix._raw(self._rows, self._cols, tuple(a + b for a, b in zip(self._e, other._e)))
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return RatMatrix._raw(self._rows, self._cols, tuple(a - b for a, b in zip(self._e, other._e)))
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._raw(self._rows, self._cols, tuple(-a for a in self._e))
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
@@ -198,74 +172,44 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not any(self._e)
 
-    def rank(self) -> int:
-        """Exact rank over the rationals.
+    def pivot_columns(self) -> list[int]:
+        """The leftmost pivot columns: column j is one iff it is not in the
+        span of the columns before it.
 
-        Each row is scaled to integers first (rank-preserving), then an
-        integer fraction-free elimination with gcd renormalisation runs;
-        this avoids Fraction overhead on the hot path.
+        Each row is scaled to integers first (rank-preserving), then the
+        rows are inserted into one SparseEchelon, whose pivots are the
+        pivots of the row space.
         """
-        rows = []
+        echelon = SparseEchelon()
         for i in range(self._rows):
             r = self.row(i)
-            den = 1
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-            ints = [int(x * den) for x in r]
-            if any(ints):
-                rows.append(ints)
-        return int_row_rank(rows, self._cols)
+            den = lcm(*(x.denominator for x in r))
+            echelon.insert({j: int(x * den) for j, x in enumerate(r) if x})
+        return sorted(echelon.pivot_rows)
 
-    def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        work = [list(self.row(i)) for i in range(self._rows)]
-        pivots = _rref_inplace(work, self._cols)
-        return RatMatrix(work), pivots
-
-    def kernel_basis(self) -> list["RatMatrix"]:
-        """Column vectors spanning the right kernel, one per free column."""
-        work = [list(self.row(i)) for i in range(self._rows)]
-        pivots = _rref_inplace(work, self._cols)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self._cols):
-            if free in pivot_set:
-                continue
-            v = [Fraction(0)] * self._cols
-            v[free] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -work[r][free]
-            basis.append(RatMatrix.column(v))
-        return basis
+    def rank(self) -> int:
+        """Exact rank over the rationals."""
+        return len(self.pivot_columns())
 
     def invert(self) -> "RatMatrix":
+        """Exact inverse by Gauss-Jordan elimination of [self | I]; the
+        pivot is the first nonzero entry of its column."""
         if self._rows != self._cols:
             raise SingularMatrixError("only square matrices are invertible")
         n = self._rows
-        work = [list(self.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-        pivots = _rref_inplace(work, 2 * n)
-        if pivots[:n] != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return RatMatrix([row[n:] for row in work])
-
-    def solve_right(self, b: "RatMatrix") -> "RatMatrix":
-        """Exact X with self @ X = b; raises InconsistentSystemError otherwise.
-
-        Free variables are set to zero, so the result is deterministic.
-        """
-        if b.rows != self._rows:
-            raise ValueError("row counts differ")
-        n, k = self._cols, b.cols
-        work = [list(self.row(i)) + list(b.row(i)) for i in range(self._rows)]
-        pivots = _rref_inplace(work, n + k, stop_col=n)
-        for r in range(len(pivots), self._rows):
-            if any(work[r][n:]):
-                raise InconsistentSystemError("no exact solution")
-        x = [[Fraction(0)] * k for _ in range(n)]
-        for r, pc in enumerate(pivots):
-            for j in range(k):
-                x[pc][j] = work[r][n + j]
-        return RatMatrix(x)
+        work = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for c in range(n):
+            sel = next((i for i in range(c, n) if work[i][c]), None)
+            if sel is None:
+                raise SingularMatrixError("matrix is singular")
+            work[c], work[sel] = work[sel], work[c]
+            inv = 1 / work[c][c]
+            pivot = work[c] = [x * inv for x in work[c]]
+            for i in range(n):
+                f = work[i][c]
+                if i != c and f:
+                    work[i] = [x - f * y for x, y in zip(work[i], pivot)]
+        return RatMatrix._raw(n, n, tuple(x for row in work for x in row[n:]))
 
     def to_json(self) -> dict:
         return {
@@ -282,70 +226,55 @@ class RatMatrix:
         return m
 
 
-def _rref_inplace(work: list[list[Fraction]], width: int, stop_col: int | None = None) -> list[int]:
-    """Reduce `work` to reduced row echelon form in place; return pivot cols.
+class SparseEchelon:
+    """Row echelon structure for sparse integer vectors over column
+    indices; rows are scale-normalized (content one, positive pivot), so
+    the reduction is exact over the rationals."""
 
-    Pivot selection takes the first row with a nonzero entry in column
-    order (exact arithmetic needs no magnitude pivoting).
-    """
-    if stop_col is None:
-        stop_col = width
-    pivots: list[int] = []
-    r = 0
-    nrows = len(work)
-    for c in range(stop_col):
-        sel = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [x - f * y for x, y in zip(work[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+    def __init__(self):
+        self.pivot_rows: dict[int, dict[int, int]] = {}
 
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
 
-def int_row_rank(rows: list[list[int]], width: int) -> int:
-    """Exact rank of integer rows by fraction-free elimination with gcd
-    reduction; the rows are reduced in place."""
-    rank = 0
-    for c in range(width):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        prow = rows[rank]
-        pval = prow[c]
-        for i in range(rank + 1, len(rows)):
-            v = rows[i][c]
-            if v:
-                row = rows[i]
-                new = [pval * a - v * b for a, b in zip(row, prow)]
-                g = 0
-                for x in new:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                rows[i] = [x // g for x in new] if g > 1 else new
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    def insert(self, vec: Mapping[int, int]) -> bool:
+        """Reduce vec against the echelon; add it if independent."""
+        v = {c: x for c, x in vec.items() if x}
+        steps = 0
+        while v:
+            p = min(v)
+            row = self.pivot_rows.get(p)
+            if row is None:
+                v = self._normalized(v)
+                if v[p] < 0:
+                    v = {c: -x for c, x in v.items()}
+                self.pivot_rows[p] = v
+                return True
+            a, b = v[p], row[p]
+            v = {c: b * x for c, x in v.items()}
+            for c, x in row.items():
+                s = v.get(c, 0) - a * x
+                if s:
+                    v[c] = s
+                else:
+                    v.pop(c, None)
+            steps += 1
+            if steps % 8 == 0 and v:
+                v = self._normalized(v)  # keep coefficient growth in check
+        return False
+
+    @staticmethod
+    def _normalized(v: dict[int, int]) -> dict[int, int]:
+        g = 0
+        for x in v.values():
+            g = gcd(g, x)
+            if g == 1:
+                return v
+        return {c: x // g for c, x in v.items()} if g > 1 else v
+
+    def basis(self) -> list[dict[int, int]]:
+        return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
 
 class ModPrimeEchelon:
@@ -413,10 +342,6 @@ class FormalLinComb:
     def term(cls, key, coeff=1) -> "FormalLinComb":
         return cls([(key, coeff)])
 
-    @classmethod
-    def zero(cls) -> "FormalLinComb":
-        return cls()
-
     def coeff(self, key) -> Fraction:
         return self._t.get(key, Fraction(0))
 
@@ -431,28 +356,6 @@ class FormalLinComb:
 
     def __len__(self) -> int:
         return len(self._t)
-
-    def __add__(self, other: "FormalLinComb") -> "FormalLinComb":
-        t = dict(self._t)
-        for key, c in other._t.items():
-            s = t.get(key, 0) + c
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
-        out = FormalLinComb.zero()
-        out._t = t
-        return out
-
-    def __sub__(self, other: "FormalLinComb") -> "FormalLinComb":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "FormalLinComb":
-        c = rat(c)
-        out = FormalLinComb.zero()
-        if c:
-            out._t = {key: c * v for key, v in self._t.items()}
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalLinComb):

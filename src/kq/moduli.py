@@ -264,21 +264,6 @@ def scramble(rep: QuiverRep, g: GaugeElement) -> QuiverRep:
     return QuiverRep(rep.n, mats)
 
 
-def _leftmost_invertible_block(m: RatMatrix) -> list[int]:
-    """Greedy leftmost column set carrying an invertible square block."""
-    d = m.rows
-    chosen: list[int] = []
-    rank = 0
-    for j in range(m.cols):
-        trial = chosen + [j]
-        if m.take_columns(trial).rank() > rank:
-            chosen = trial
-            rank += 1
-            if rank == d:
-                return chosen
-    return chosen
-
-
 def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
     """Recover the point and the gauge from a stable relation-satisfying
     representation, so that scramble(embed(point), gauge) == rep exactly.
@@ -328,7 +313,7 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
         ordered = sorted(q.arrows_into(v), key=lambda a: (a.direction, a.rho))
         canon = RatMatrix.hstack([canonical.matrices[a] for a in ordered])
         actual = assembled(v)
-        cols = _leftmost_invertible_block(canon)
+        cols = canon.pivot_columns()
         b_canon = canon.take_columns(cols)
         b_actual = actual.take_columns(cols)
         try:

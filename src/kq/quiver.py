@@ -16,10 +16,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Mapping
 
-from .linalg import rat, rat_to_json
+from .linalg import SparseEchelon, rat, rat_to_json
 from .tableaux import Partition, hom_dim
 
 DEFAULT_MAX_PATHS = 10**6
@@ -368,57 +367,6 @@ def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
             partial = nxt
         out.extend(Path(arrows) for arrows, _ in partial)
     return out
-
-
-class SparseEchelon:
-    """Row echelon structure for sparse integer vectors over column
-    indices; rows are scale-normalized (content one, positive pivot), so
-    the reduction is exact over the rationals."""
-
-    def __init__(self):
-        self.pivot_rows: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def insert(self, vec: Mapping[int, int]) -> bool:
-        """Reduce vec against the echelon; add it if independent."""
-        v = {c: x for c, x in vec.items() if x}
-        steps = 0
-        while v:
-            p = min(v)
-            row = self.pivot_rows.get(p)
-            if row is None:
-                v = self._normalized(v)
-                if v[p] < 0:
-                    v = {c: -x for c, x in v.items()}
-                self.pivot_rows[p] = v
-                return True
-            a, b = v[p], row[p]
-            v = {c: b * x for c, x in v.items()}
-            for c, x in row.items():
-                s = v.get(c, 0) - a * x
-                if s:
-                    v[c] = s
-                else:
-                    v.pop(c, None)
-            steps += 1
-            if steps % 8 == 0 and v:
-                v = self._normalized(v)  # keep coefficient growth in check
-        return False
-
-    @staticmethod
-    def _normalized(v: dict[int, int]) -> dict[int, int]:
-        g = 0
-        for x in v.values():
-            g = gcd(g, x)
-            if g == 1:
-                return v
-        return {c: x // g for c, x in v.items()} if g > 1 else v
-
-    def basis(self) -> list[dict[int, int]]:
-        return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
 
 def _ideal_slice(q: TiltingQuiver, lam, mu) -> tuple[SparseEchelon, list[Path], dict[Path, int]]:

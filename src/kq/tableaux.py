@@ -3,27 +3,19 @@
 Partitions, skew shapes and semistandard (skew) tableaux, reverse words
 and the lattice-word condition, Littlewood-Richardson numbers by direct
 tableau enumeration, Pieri rules, dimensions of irreducible GL(n)
-representations by the hook-content formula, the closed-form list of
-irreducible constituents of a two-row skew shape, and skew Young
-symmetrizers acting on tensor words.
+representations by the hook-content formula, and the closed-form list
+of irreducible constituents of a two-row skew shape.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
-
-from .linalg import FormalLinComb
 
 
 class NotContainedError(ValueError):
     """The inner partition is not (strictly) contained in the outer one."""
-
-
-class LengthMismatchError(ValueError):
-    """A tensor word does not match the number of boxes of a shape."""
 
 
 class Partition:
@@ -466,78 +458,3 @@ def hom_dim(lam, mu, n: int) -> int:
     """Total dimension of the constituents of the two-row skew shape mu/lam
     as GL(n) representations."""
     return sum(gl_dimension(g, n) for g in gamma_set(lam, mu))
-
-
-@lru_cache(maxsize=None)
-def _group_permutations(groups: tuple[tuple[int, ...], ...], d: int) -> tuple[tuple[int, ...], ...]:
-    """All permutations of {0..d-1} preserving each group (as slot sets)."""
-    perms = []
-    per_group = [list(itertools.permutations(g)) for g in groups]
-    for combo in itertools.product(*per_group):
-        sigma = list(range(d))
-        for g, img in zip(groups, combo):
-            for slot, target in zip(g, img):
-                sigma[slot] = target
-        perms.append(tuple(sigma))
-    return tuple(perms)
-
-
-def _perm_sign(sigma: Sequence[int]) -> int:
-    seen = [False] * len(sigma)
-    sign = 1
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def young_symmetrizer_image(shape: SkewShape, word) -> FormalLinComb:
-    """Apply the skew Young symmetrizer to a tensor word.
-
-    Word slots correspond to the boxes of the shape in reading order
-    (left to right, top to bottom).  The result is the signed column
-    anti-symmetrization of the row symmetrization: sum over permutations
-    preserving each row, then signed sum over permutations preserving
-    each column, acting by (w . sigma)[k] = w[sigma(k)].
-    """
-    if not isinstance(word, FormalLinComb):
-        word = FormalLinComb.term(tuple(word))
-    cells = shape.cells()
-    d = len(cells)
-    for w in word.keys():
-        if len(w) != d:
-            raise LengthMismatchError(f"word {w} has {len(w)} letters; shape has {d} boxes")
-    slot_of = {cell: k for k, cell in enumerate(cells)}
-    nrows = shape.num_rows
-    ncols = shape.outer.part(0) if shape.outer.parts else 0
-    row_groups = tuple(
-        tuple(slot_of[(r, c)] for c in range(*shape.row_bounds()[r]))
-        for r in range(nrows)
-    )
-    col_groups = tuple(
-        tuple(slot_of[(r, c)] for r in range(nrows) if (r, c) in slot_of)
-        for c in range(ncols)
-    )
-    row_perms = _group_permutations(tuple(g for g in row_groups if len(g) > 1), d)
-    col_perms = _group_permutations(tuple(g for g in col_groups if len(g) > 1), d)
-
-    symmetrized: dict[tuple, Fraction] = {}
-    for w, coeff in word.items():
-        for sigma in row_perms:
-            key = tuple(w[sigma[k]] for k in range(d))
-            symmetrized[key] = symmetrized.get(key, Fraction(0)) + coeff
-    result: dict[tuple, Fraction] = {}
-    for w, coeff in symmetrized.items():
-        for tau in col_perms:
-            key = tuple(w[tau[k]] for k in range(d))
-            c = coeff * _perm_sign(tau)
-            result[key] = result.get(key, Fraction(0)) + c
-    return FormalLinComb(result)

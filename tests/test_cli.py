@@ -175,6 +175,13 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     code, _ = invoke(capsys, "relations", "--n", "4", "--lam", "0,0", "--mu", "3,3")
     assert code == 2
+    for empty_sweep in (
+        ("verify-kernel", "--n", "4", "--max-degree", "-1"),
+        ("verify-surjectivity", "--n", "4", "--max-degree", "0"),
+        ("roundtrip", "--n", "4", "--trials", "-1"),
+    ):
+        code, _ = invoke(capsys, *empty_sweep)
+        assert code == 2, empty_sweep
     monkeypatch.setenv("KQ_MAX_PATHS", "many")
     code, _ = invoke(capsys, "verify-kernel", "--n", "4", "--lam", "0,0", "--mu", "1,1")
     assert code == 2

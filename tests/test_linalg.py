@@ -8,40 +8,57 @@ from hypothesis import given, settings, strategies as st
 from kq import linalg
 from kq.linalg import (
     FormalLinComb,
-    InconsistentSystemError,
     ModPrimeEchelon,
     RatMatrix,
     SingularMatrixError,
     rat,
-    rat_from_json,
     rat_to_json,
 )
 
 small = st.integers(min_value=-9, max_value=9)
+# p/q entries, so that rank() meets rows whose denominators differ
+rational = st.builds(Fraction, small, st.integers(min_value=1, max_value=9))
 
 
-def random_matrix_strategy(max_dim=8):
+def random_matrix_strategy(max_dim=8, entries=small):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
-            lambda c: st.lists(st.lists(small, min_size=c, max_size=c), min_size=r, max_size=r)
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
         )
     ).map(RatMatrix)
+
+
+@st.composite
+def low_rank_matrix(draw, max_dim=8):
+    """A rational r x c matrix of rank at most k < c, some columns zero."""
+    r, c = draw(st.integers(1, max_dim)), draw(st.integers(2, max_dim))
+    k = draw(st.integers(1, c - 1))
+    a = RatMatrix(draw(st.lists(st.lists(rational, min_size=k, max_size=k), min_size=r, max_size=r)))
+    b = draw(st.lists(st.lists(rational, min_size=c, max_size=c), min_size=k, max_size=k))
+    zero = draw(st.sets(st.integers(0, c - 1)))
+    return a * RatMatrix([[0 if j in zero else x for j, x in enumerate(row)] for row in b])
+
+
+def greedy_pivot_columns(m: RatMatrix) -> list[int]:
+    """Greedy leftmost column set carrying an invertible square block:
+    column j is taken when it raises the rank of the columns taken so far."""
+    d = m.rows
+    chosen: list[int] = []
+    rank = 0
+    for j in range(m.cols):
+        trial = chosen + [j]
+        if m.take_columns(trial).rank() > rank:
+            chosen = trial
+            rank += 1
+            if rank == d:
+                return chosen
+    return chosen
 
 
 def test_rank_examples():
     assert RatMatrix.identity(3).rank() == 3
     assert RatMatrix.zeros(2, 2).rank() == 0
     assert RatMatrix([[1, 2], [2, 4]]).rank() == 1
-
-
-def test_kernel_examples():
-    assert RatMatrix.identity(2).kernel_basis() == []
-    (v,) = RatMatrix([[1, -1]]).kernel_basis()
-    assert v.col(0)[0] == v.col(0)[1] != 0
-    m = RatMatrix([[1, 2], [2, 4]])
-    basis = m.kernel_basis()
-    assert len(basis) == 1
-    assert (m * basis[0]).is_zero()
 
 
 def test_invert_examples():
@@ -53,23 +70,8 @@ def test_invert_examples():
         RatMatrix([[1, 2], [2, 4]]).invert()
 
 
-def test_solve_examples():
-    b = RatMatrix([[5], [7]])
-    assert RatMatrix.identity(2).solve_right(b) == b
-    assert RatMatrix([[2]]).solve_right(RatMatrix([[1]])) == RatMatrix([["1/2"]])
-    with pytest.raises(InconsistentSystemError):
-        RatMatrix([[1], [1]]).solve_right(RatMatrix([[1], [2]]))
-
-
-def test_solve_is_exact_on_consistent_wide_system():
-    a = RatMatrix([[1, 2, 3], [0, 1, 4]])
-    b = RatMatrix([[6], [5]])
-    x = a.solve_right(b)
-    assert a * x == b
-
-
 @settings(max_examples=60, deadline=None)
-@given(random_matrix_strategy())
+@given(random_matrix_strategy(entries=rational))
 def test_rank_transpose_invariant(m):
     assert m.rank() == m.transpose().rank()
 
@@ -82,18 +84,15 @@ def test_rank_transpose_invariant(m):
     st.data(),
 )
 def test_rank_of_product_bounded(r, k, c, data):
-    a = RatMatrix(data.draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=r, max_size=r)))
-    b = RatMatrix(data.draw(st.lists(st.lists(small, min_size=c, max_size=c), min_size=k, max_size=k)))
+    a = RatMatrix(data.draw(st.lists(st.lists(rational, min_size=k, max_size=k), min_size=r, max_size=r)))
+    b = RatMatrix(data.draw(st.lists(st.lists(rational, min_size=c, max_size=c), min_size=k, max_size=k)))
     assert (a * b).rank() <= min(a.rank(), b.rank())
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_matrix_strategy())
-def test_kernel_vectors_annihilate(m):
-    basis = m.kernel_basis()
-    assert len(basis) == m.cols - m.rank()
-    for v in basis:
-        assert (m * v).is_zero()
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_matrix_strategy(entries=rational), low_rank_matrix()))
+def test_pivot_columns_are_the_greedy_leftmost_block(m):
+    assert m.pivot_columns() == greedy_pivot_columns(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,7 +116,7 @@ def test_rank_mod_small_prime_is_a_lower_bound(monkeypatch):
 @given(small.filter(bool), st.integers(min_value=1, max_value=9), small.filter(bool))
 def test_rational_canonical_form(p, q, k):
     assert Fraction(p, q) == Fraction(k * p, k * q)
-    assert rat_from_json(rat_to_json(Fraction(p, q))) == Fraction(p, q)
+    assert rat(rat_to_json(Fraction(p, q))) == Fraction(p, q)
 
 
 def test_rat_coercion():
@@ -141,27 +140,7 @@ def test_matrix_immutability_and_hash():
     assert hash(m) == hash(RatMatrix([[1, 2], [3, 4]]))
 
 
-lincomb_strategy = st.dictionaries(
-    st.sampled_from(list("abcdef")), small, max_size=4
-).map(FormalLinComb)
-
-
-@settings(max_examples=60, deadline=None)
-@given(lincomb_strategy, lincomb_strategy, lincomb_strategy)
-def test_lincomb_associative_commutative(u, v, w):
-    assert (u + v) + w == u + (v + w)
-    assert u + v == v + u
-
-
-@settings(max_examples=60, deadline=None)
-@given(lincomb_strategy, lincomb_strategy, small, small)
-def test_lincomb_distributive(u, v, a, b):
-    assert (u + v).scale(a) == u.scale(a) + v.scale(a)
-    assert u.scale(a + b) == u.scale(a) + u.scale(b)
-    assert u.scale(a).scale(b) == u.scale(a * b)
-
-
 def test_lincomb_never_stores_zero():
-    u = FormalLinComb({"x": 1}) - FormalLinComb({"x": 1})
+    u = FormalLinComb([("x", 1), ("x", -1)])
     assert u.is_zero() and len(u) == 0
     assert FormalLinComb({"y": 0}).is_zero()

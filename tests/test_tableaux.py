@@ -4,9 +4,7 @@ import itertools
 
 import pytest
 
-from kq.linalg import FormalLinComb
 from kq.tableaux import (
-    LengthMismatchError,
     NotContainedError,
     Partition,
     SkewShape,
@@ -22,7 +20,6 @@ from kq.tableaux import (
     pieri_row,
     reverse_word,
     skew_decomposition,
-    young_symmetrizer_image,
 )
 
 
@@ -287,36 +284,3 @@ def test_skew_dimension_identity():
             for n in range(1, 6):
                 total = sum(m * gl_dimension(g, n) for g, m in skew_decomposition(shape) if g.num_rows <= n)
                 assert total == len(enumerate_ssyt(shape, n))
-
-
-def test_young_symmetrizer_worked_example():
-    shape = SkewShape((1, 0), (2, 2))
-    image = young_symmetrizer_image(shape, (1, 2, 3))
-    expected = FormalLinComb(
-        {(1, 2, 3): 1, (3, 2, 1): -1, (1, 3, 2): 1, (2, 3, 1): -1}
-    )
-    assert image == expected
-
-
-def test_young_symmetrizer_single_box_and_antisymmetry():
-    assert young_symmetrizer_image(SkewShape((0,), (1,)), (7,)) == FormalLinComb({(7,): 1})
-    assert young_symmetrizer_image(SkewShape((0, 0), (1, 1)), (1, 1)).is_zero()
-
-
-def test_young_symmetrizer_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        young_symmetrizer_image(SkewShape((0, 0), (2, 1)), (1, 2))
-
-
-def test_young_symmetrizer_quasi_idempotent_on_straight_shapes():
-    for parts in [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1)]:
-        gam = Partition(parts)
-        shape = SkewShape(Partition(), gam)
-        word = tuple(r + 1 for r, _ in gam.cells())  # row-constant superstandard word
-        once = young_symmetrizer_image(shape, word)
-        assert not once.is_zero()
-        twice = young_symmetrizer_image(shape, once)
-        key = next(iter(once.keys()))
-        scalar = twice.coeff(key) / once.coeff(key)
-        assert scalar != 0
-        assert twice == once.scale(scalar)
