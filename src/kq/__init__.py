@@ -3,12 +3,11 @@ of lines: Young tableau combinatorics, the quiver and its relation
 ideal, and the embedding and reconstruction of points as stable quiver
 representations."""
 
-from .linalg import FormalLinComb, RatMatrix, rat
+from .linalg import RatMatrix, rat
 from .tableaux import (
     Partition,
     SkewShape,
     SkewTableau,
-    contains,
     enumerate_ssyt,
     gamma_set,
     gl_dimension,

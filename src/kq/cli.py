@@ -91,24 +91,19 @@ def cmd_relations(args) -> tuple[dict, bool]:
             raise InputError("--lam and --mu must be given together")
         lam = tuple(_partition(args.lam).padded(2))
         mu = tuple(_partition(args.mu).padded(2))
-        pairs = [t for t in pairs if (t[0], t[1]) == (lam, mu)]
-        if not pairs:
+        fam = qv.p2_family(q, lam, mu)
+        if fam is None:
             raise InputError(f"{lam} -> {mu} is not a degree-two pair of the quiver")
+        pairs = [(lam, mu, fam)]
     families = []
     for lam, mu, fam in pairs:
-        if fam == "ff" or fam == "gg":
-            coeffs = [1, -1]
-        elif fam == "diag":
-            coeffs = [1, 1]
-        else:
-            coeffs = list(qv.square_coefficients(lam))
         rels = qv.relation_set_for(q, lam, mu)
         families.append(
             {
                 "lam": list(lam),
                 "mu": list(mu),
                 "family": fam,
-                "coefficients": coeffs,
+                "coefficients": list(qv.family_coefficients(fam, lam)),
                 "count": len(rels),
                 "relations": [r.to_json() for r in rels],
             }

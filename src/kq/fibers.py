@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import FormalLinComb, ModPrimeEchelon, RatMatrix, SparseEchelon, rat, rat_to_json
+from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon, rat, rat_to_json
 from .tableaux import NotContainedError, Partition, hom_dim
 
 
@@ -175,34 +175,37 @@ class FiberTensor:
 
     __slots__ = ("lam", "terms")
 
-    def __init__(self, lam, terms: FormalLinComb | Mapping = ()):
+    def __init__(self, lam, terms: Mapping[int, Fraction]):
         lam = Partition.coerce(lam)
         if lam.num_rows > 2:
             raise ValueError("two-row weights only")
-        if not isinstance(terms, FormalLinComb):
-            terms = FormalLinComb(terms)
         top = lam.part(0) - lam.part(1)
-        for j in terms.keys():
+        clean = {}
+        for j, c in terms.items():
+            c = rat(c)
+            if not c:
+                continue
             if not (0 <= j <= top):
                 raise ValueError(f"basis index {j} out of range for {lam}")
+            clean[j] = c
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiberTensor is immutable")
 
     @classmethod
     def basis(cls, lam, j: int) -> "FiberTensor":
-        return cls(lam, FormalLinComb.term(j))
+        return cls(lam, {j: 1})
 
     def dim(self) -> int:
         return fiber_dim(self.lam)
 
     def coeff(self, j: int) -> Fraction:
-        return self.terms.coeff(j)
+        return self.terms.get(j, Fraction(0))
 
     def as_vector(self) -> RatMatrix:
-        return RatMatrix.column([self.terms.coeff(j) for j in range(self.dim())])
+        return RatMatrix.column([self.coeff(j) for j in range(self.dim())])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FiberTensor):
@@ -254,7 +257,7 @@ def section_apply(kind: str, lam, rho: int, y: GrPoint, t: FiberTensor) -> Fiber
             #   b2 ^ (x1 b1 + x2 b2) = +x1 (b2 ^ b1),  j choices
             bump(j, -c * a * x2)
             bump(j - 1, c * j * x1)
-    return FiberTensor(Partition(target), FormalLinComb(out.items()))
+    return FiberTensor(Partition(target), out)
 
 
 def section_matrix(kind: str, lam, rho: int, y: GrPoint) -> RatMatrix:

@@ -2,11 +2,10 @@
 
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always in
 lowest terms).  ``RatMatrix`` is an immutable dense matrix of such scalars
-with exact products, inverse, rank and pivot columns, and
-``FormalLinComb`` is a sparse linear combination over arbitrary hashable
-basis keys.  ``SparseEchelon`` is the one exact integer eliminator: rank
-and pivot columns, the graded slices of the relation ideal and the exact
-fallback of the surjectivity check all insert integer rows into it.
+with exact products, inverse, rank and pivot columns.  ``SparseEchelon``
+is the one exact integer eliminator: rank and pivot columns, the graded
+slices of the relation ideal and the exact fallback of the surjectivity
+check all insert integer rows into it.
 ``ModPrimeEchelon`` computes ranks of integer rows modulo the fixed prime
 ``PRIME``: since the rank mod a prime never exceeds the rank over the
 rationals, reaching a known upper bound mod ``PRIME`` certifies the exact
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 # The largest prime below 2**30: residues stay one-digit CPython ints,
@@ -36,7 +35,10 @@ def rat(x) -> Fraction:
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {x!r}") from exc
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -313,57 +315,3 @@ class ModPrimeEchelon:
         inv = pow(row[pivot], -1, p)
         self.rows.append((pivot, [x * inv % p for x in row[pivot:]]))
         return True
-
-
-class FormalLinComb:
-    """Finite rational linear combination of opaque basis keys.
-
-    Zero coefficients are never stored, so equality of combinations is
-    equality of the underlying mappings.
-    """
-
-    __slots__ = ("_t",)
-
-    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        t = {}
-        for key, coeff in items:
-            c = rat(coeff)
-            if c:
-                c0 = t.get(key)
-                c = c if c0 is None else c0 + c
-                if c:
-                    t[key] = c
-                elif key in t:
-                    del t[key]
-        self._t = t
-
-    @classmethod
-    def term(cls, key, coeff=1) -> "FormalLinComb":
-        return cls([(key, coeff)])
-
-    def coeff(self, key) -> Fraction:
-        return self._t.get(key, Fraction(0))
-
-    def items(self):
-        return self._t.items()
-
-    def keys(self):
-        return self._t.keys()
-
-    def is_zero(self) -> bool:
-        return not self._t
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalLinComb):
-            return NotImplemented
-        return self._t == other._t
-
-    def __repr__(self) -> str:
-        if not self._t:
-            return "FormalLinComb(0)"
-        parts = [f"{rat_to_json(c)}*{key!r}" for key, c in self._t.items()]
-        return "FormalLinComb(" + " + ".join(parts) + ")"

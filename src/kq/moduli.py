@@ -10,10 +10,10 @@ non-source vertex, and the relation families must evaluate to zero.
 Reconstruction inverts the embedding: given any stable representation
 satisfying the relations, a single sweep through the vertices in degree
 order normalizes the per-vertex bases.  The point is read off the
-incoming matrices at the first weight; at every later vertex the actual
-incoming concatenation differs from the canonical one by a left factor,
-which is solved from the leftmost invertible column block and undone.
-The sweep both recovers the point and certifies membership in the image
+incoming matrix at (1, 0); at every non-source vertex the actual
+incoming matrix differs from the canonical one by a left factor, which
+is solved on the pivot columns of the canonical matrix and undone.  The
+sweep both recovers the point and certifies membership in the image
 (exact equality of every normalized matrix with the canonical one).
 """
 
@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .fibers import GrPoint, f_matrix, g_matrix, reduce_point
 from .linalg import RatMatrix, SingularMatrixError
-from .quiver import Arrow, Path, RelationElement, build_quiver, relation_sets, vertex_key
+from .quiver import Arrow, Path, RelationElement, build_quiver, relation_sets
 
 SOURCE = (0, 0)
 
@@ -67,6 +67,9 @@ class QuiverRep:
             if m.shape != expect:
                 raise ValueError(f"matrix for {a} has shape {m.shape}, expected {expect}")
             mats[a] = m
+        extra = [a for a in matrices if a not in mats]
+        if extra:
+            raise ValueError(f"matrix for {extra[0]}, which is not an arrow of the quiver")
         self.n = n
         self.quiver = q
         self.matrices = mats
@@ -104,6 +107,8 @@ class QuiverRep:
             head = tuple(rec["head"])
             direction = 1 if head[0] == tail[0] + 1 else 2
             a = Arrow(tail, head, direction, int(rec["rho"]))
+            if a in mats:
+                raise ValueError(f"two records for {a}")
             mats[a] = RatMatrix.from_json(rec["matrix"])
         return cls(n, mats)
 
@@ -208,15 +213,19 @@ def embed(y: GrPoint) -> QuiverRep:
     return QuiverRep(y.n, mats)
 
 
-def assemble_W(rep: QuiverRep, v) -> RatMatrix:
+def _incoming(q, matrices: Mapping[Arrow, RatMatrix], v) -> RatMatrix:
     """Concatenate the matrices of all arrows with head at v: horizontal
     blocks first (column index ascending), then vertical blocks."""
+    ordered = sorted(q.arrows_into(v), key=lambda a: (a.direction, a.rho))
+    return RatMatrix.hstack([matrices[a] for a in ordered])
+
+
+def assemble_W(rep: QuiverRep, v) -> RatMatrix:
+    """The incoming matrix at a non-source vertex v."""
     v = tuple(v)
-    incoming = rep.quiver.arrows_into(v)
-    if not incoming:
+    if not rep.quiver.arrows_into(v):
         raise SourceVertexError(f"{v} has no incoming arrows")
-    ordered = sorted(incoming, key=lambda a: (a.direction, a.rho))
-    return RatMatrix.hstack([rep.matrices[a] for a in ordered])
+    return _incoming(rep.quiver, rep.matrices, v)
 
 
 def check_stability(rep: QuiverRep) -> StabilityReport:
@@ -268,13 +277,13 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
     """Recover the point and the gauge from a stable relation-satisfying
     representation, so that scramble(embed(point), gauge) == rep exactly.
 
-    Sweep: the incoming matrix at the first weight is canonicalized to
-    read off the point; every later vertex (in degree order, so tails
-    are already normalized) differs from the canonical embedding by a
-    left factor, solved from the leftmost invertible column block of the
-    canonical incoming matrix.  After its correction a vertex must match
-    the canonical matrices exactly; any mismatch means the input is not
-    a point of the moduli space.
+    After the point is read off at (1, 0), every non-source vertex in
+    degree order (so its tails are done) takes the gauge block g with
+    actual = g * canonical on the pivot columns of the canonical incoming
+    matrix, and g^{-1} goes onto the arrows into it and g onto the arrows
+    out of it.  The normalized incoming matrix must then equal the
+    canonical one; since the arrows into a vertex never change after it
+    is done, these checks certify every arrow.
     """
     violations = check_relations(rep)
     if violations:
@@ -286,50 +295,25 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
 
     q = rep.quiver
     work = dict(rep.matrices)
-    corrections: dict[tuple[int, int], RatMatrix] = {SOURCE: RatMatrix.identity(1)}
-
-    def apply_correction(v: tuple[int, int], c: RatMatrix):
-        corrections[v] = c
-        c_inv = c.invert()
-        for a in q.arrows_into(v):
-            work[a] = c * work[a]
-        for a in q.arrows_from(v):
-            work[a] = work[a] * c_inv
-
-    def assembled(v: tuple[int, int]) -> RatMatrix:
-        ordered = sorted(q.arrows_into(v), key=lambda a: (a.direction, a.rho))
-        return RatMatrix.hstack([work[a] for a in ordered])
-
-    first = (1, 0)
-    w_first = assembled(first)
-    point = reduce_point(w_first)
-    pivot_block = w_first.take_columns(point.pivot_cols)
-    apply_correction(first, pivot_block.invert())
-
+    point = reduce_point(_incoming(q, work, (1, 0)))
     canonical = embed(point)
-    for v in sorted(q.vertices, key=vertex_key):
-        if v in corrections:
-            continue
-        ordered = sorted(q.arrows_into(v), key=lambda a: (a.direction, a.rho))
-        canon = RatMatrix.hstack([canonical.matrices[a] for a in ordered])
-        actual = assembled(v)
+    blocks = {SOURCE: RatMatrix.identity(1)}
+    for v in q.vertices[1:]:
+        canon = _incoming(q, canonical.matrices, v)
         cols = canon.pivot_columns()
-        b_canon = canon.take_columns(cols)
-        b_actual = actual.take_columns(cols)
         try:
-            factor = b_actual * b_canon.invert()
-            apply_correction(v, factor.invert())
+            g = _incoming(q, work, v).take_columns(cols) * canon.take_columns(cols).invert()
+            g_inv = g.invert()
         except SingularMatrixError as exc:
             raise NotInImageError(f"no invertible block match at {v}") from exc
-        if assembled(v) != canon:
+        blocks[v] = g
+        for a in q.arrows_into(v):
+            work[a] = g_inv * work[a]
+        for a in q.arrows_from(v):
+            work[a] = work[a] * g
+        if _incoming(q, work, v) != canon:
             raise NotInImageError(f"normalized matrices at {v} do not match the embedding")
-
-    for a in q.arrows:
-        if work[a] != canonical.matrices[a]:
-            raise NotInImageError(f"normalized matrix at {a} does not match the embedding")
-
-    gauge = GaugeElement(rep.n, {v: corrections[v].invert() for v in q.vertices})
-    return point, gauge
+    return point, GaugeElement(rep.n, blocks)
 
 
 def random_point(n: int, seed) -> GrPoint:

@@ -223,24 +223,34 @@ def build_quiver(n: int) -> TiltingQuiver:
     return TiltingQuiver(n)
 
 
+# The four degree-two relation families: per term, the directions of its
+# two steps and whether it swaps the column indices, i.e. takes column j
+# on the first step and i on the second instead of i then j.
+RELATION_TERMS = {
+    "ff": ((1, 1, False), (1, 1, True)),
+    "gg": ((2, 2, False), (2, 2, True)),
+    "diag": ((1, 2, False), (1, 2, True)),
+    "square": ((1, 2, False), (2, 1, True), (2, 1, False)),
+}
+
+
+def p2_family(q: TiltingQuiver, lam, mu) -> str | None:
+    """The relation family of a vertex pair two path steps apart: 'ff'
+    two horizontal, 'gg' two vertical, 'diag' through a diagonal vertex,
+    'square' around a square; None for any other pair."""
+    lam, mu = tuple(lam), tuple(mu)
+    if not (q.has_vertex(lam) and q.has_vertex(mu)):
+        return None
+    step = (mu[0] - lam[0], mu[1] - lam[1])
+    if step == (1, 1):
+        return "diag" if lam[0] == lam[1] else "square"
+    return {(2, 0): "ff", (0, 2): "gg"}.get(step)
+
+
 def p2_pairs(q: TiltingQuiver) -> list[tuple[tuple[int, int], tuple[int, int], str]]:
-    """Vertex pairs two path steps apart, with their relation family:
-    'ff' two horizontal, 'gg' two vertical, 'diag' through a diagonal
-    vertex, 'square' around a square."""
-    vset = set(q.vertices)
-    out = []
-    for lam in q.vertices:
-        l1, l2 = lam
-        candidates = (
-            ((l1 + 2, l2), "ff"),
-            ((l1, l2 + 2), "gg"),
-            ((l1 + 1, l2 + 1), "diag" if l1 == l2 else "square"),
-        )
-        for mu, fam in candidates:
-            if mu[0] >= mu[1] and mu in vset:
-                out.append((lam, mu, fam))
-    out.sort(key=lambda t: (vertex_key(t[0]), vertex_key(t[1])))
-    return out
+    """Vertex pairs two path steps apart, with their relation family, in
+    degree order."""
+    return [(lam, mu, f) for lam in q.vertices for mu in q.vertices if (f := p2_family(q, lam, mu))]
 
 
 def square_coefficients(lam) -> tuple[int, int, int]:
@@ -250,57 +260,34 @@ def square_coefficients(lam) -> tuple[int, int, int]:
     return (d, -(d + 1), 1)
 
 
+def family_coefficients(family: str, lam) -> tuple[int, ...]:
+    """The coefficients of a family's terms, in RELATION_TERMS order."""
+    if family == "square":
+        return square_coefficients(lam)
+    return (1, 1) if family == "diag" else (1, -1)
+
+
 def relation_set_for(q: TiltingQuiver, lam, mu) -> list[RelationElement]:
     """The basis of degree-two relations from lam to mu (empty if the
-    pair is not two steps apart)."""
+    pair is not two steps apart).  The square family takes every index
+    pair (i, j); the others are symmetric up to sign, so they take
+    i <= j, and 'ff'/'gg' vanish at i == j."""
     lam, mu = tuple(lam), tuple(mu)
-    fam = None
-    for a, b, f in p2_pairs(q):
-        if (a, b) == (lam, mu):
-            fam = f
-            break
+    fam = p2_family(q, lam, mu)
     if fam is None:
         return []
-    n = q.n
+    steps = list(zip(RELATION_TERMS[fam], family_coefficients(fam, lam)))
     out = []
-    if fam == "ff":
-        nu = (lam[0] + 1, lam[1])
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                p_ij = Path((q.arrow(lam, 1, i), q.arrow(nu, 1, j)))
-                p_ji = Path((q.arrow(lam, 1, j), q.arrow(nu, 1, i)))
-                out.append(RelationElement(lam, mu, {p_ij: 1, p_ji: -1}, fam, (i, j)))
-    elif fam == "gg":
-        nu = (lam[0], lam[1] + 1)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                p_ij = Path((q.arrow(lam, 2, i), q.arrow(nu, 2, j)))
-                p_ji = Path((q.arrow(lam, 2, j), q.arrow(nu, 2, i)))
-                out.append(RelationElement(lam, mu, {p_ij: 1, p_ji: -1}, fam, (i, j)))
-    elif fam == "diag":
-        nu = (lam[0] + 1, lam[1])
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                p_ij = Path((q.arrow(lam, 1, i), q.arrow(nu, 2, j)))
-                if i == j:
-                    terms = {p_ij: 2}
-                else:
-                    p_ji = Path((q.arrow(lam, 1, j), q.arrow(nu, 2, i)))
-                    terms = {p_ij: 1, p_ji: 1}
-                out.append(RelationElement(lam, mu, terms, fam, (i, j)))
-    else:
-        nu = (lam[0] + 1, lam[1])
-        delta = (lam[0], lam[1] + 1)
-        c_gf, c_fg_swapped, c_fg = square_coefficients(lam)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                gf = Path((q.arrow(lam, 1, i), q.arrow(nu, 2, j)))
-                fg_swapped = Path((q.arrow(lam, 2, j), q.arrow(delta, 1, i)))
-                fg = Path((q.arrow(lam, 2, i), q.arrow(delta, 1, j)))
-                terms: dict[Path, Fraction] = {}
-                for p, c in ((gf, c_gf), (fg_swapped, c_fg_swapped), (fg, c_fg)):
-                    terms[p] = terms.get(p, 0) + c
-                out.append(RelationElement(lam, mu, terms, fam, (i, j)))
+    for i in range(1, q.n + 1):
+        for j in range(1 if fam == "square" else i, q.n + 1):
+            terms: dict[Path, int] = {}
+            for (first, second, swap), c in steps:
+                a = q.arrow(lam, first, j if swap else i)
+                p = Path((a, q.arrow(a.head, second, i if swap else j)))
+                terms[p] = terms.get(p, 0) + c
+            rel = RelationElement(lam, mu, terms, fam, (i, j))
+            if rel.terms:
+                out.append(rel)
     return out
 
 

@@ -91,11 +91,6 @@ class Partition:
         return list(self.padded(max(min_len, len(self._parts))))
 
 
-def contains(lam, mu) -> bool:
-    """True iff lam_i <= mu_i for all i (zero padding on the right)."""
-    return Partition.coerce(mu).contains(Partition.coerce(lam))
-
-
 class SkewShape:
     """The boxes of `outer` not in `inner` (both partitions, inner ⊆ outer)."""
 
@@ -186,16 +181,6 @@ class SkewTableau:
         if not (lo <= c < hi):
             raise IndexError((r, c))
         return self.rows[r][c - lo]
-
-    def content(self) -> tuple[int, ...]:
-        """Multiplicity vector: content[i] counts the entry i+1."""
-        flat = [x for row in self.rows for x in row]
-        if not flat:
-            return ()
-        counts = [0] * max(flat)
-        for x in flat:
-            counts[x - 1] += 1
-        return tuple(counts)
 
     def reverse_word(self) -> tuple[int, ...]:
         """Rows top to bottom, each read right to left."""

@@ -7,7 +7,7 @@ import pytest
 from kq import fibers
 from kq.cli import run
 from kq.linalg import RatMatrix
-from kq.moduli import QuiverRep, random_point
+from kq.moduli import QuiverRep, embed, random_point
 
 
 def invoke(capsys, *argv):
@@ -182,6 +182,24 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
     ):
         code, _ = invoke(capsys, *empty_sweep)
         assert code == 2, empty_sweep
+    code, _ = invoke(capsys, "fg-matrix", "--k", "2", "--x", "1/0,1")
+    assert code == 2
+    rep_json = embed(random_point(4, "p")).to_json()
+    arrows = rep_json["arrows"]
+    zero_den = dict(arrows[0], matrix=dict(arrows[0]["matrix"], entries=[["1/0"], ["0"]]))
+    for stray in (
+        [zero_den] + arrows[1:],
+        arrows + [dict(arrows[0], rho=99)],  # an arrow the quiver lacks
+        arrows + [arrows[0]],  # two records for one arrow
+    ):
+        bad.write_text(json.dumps(dict(rep_json, arrows=stray)))
+        code, _ = invoke(capsys, "check", "--rep", str(bad))
+        assert code == 2, stray[-1]
+    point_json = random_point(4, "p").to_json()
+    point_json["matrix"][0][2] = "1/0"
+    bad.write_text(json.dumps(point_json))
+    code, _ = invoke(capsys, "embed", "--point", str(bad))
+    assert code == 2
     monkeypatch.setenv("KQ_MAX_PATHS", "many")
     code, _ = invoke(capsys, "verify-kernel", "--n", "4", "--lam", "0,0", "--mu", "1,1")
     assert code == 2

@@ -91,7 +91,7 @@ def test_section_apply_pivot_column_raises_top_index_only():
         t = FiberTensor.basis((2, 0), j)
         out = section_apply("f", (2, 0), 1, y, t)
         assert out.lam == Partition((3, 0))
-        assert out.terms.coeff(j) == 1 and len(out.terms) == 1
+        assert out.coeff(j) == 1 and len(out.terms) == 1
 
 
 def test_section_apply_g_on_diagonal_weight_errors():

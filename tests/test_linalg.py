@@ -1,4 +1,4 @@
-"""Exact matrix arithmetic and formal linear combinations."""
+"""Exact matrix arithmetic and sparse fiber elements."""
 
 from fractions import Fraction
 
@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kq import linalg
+from kq.fibers import FiberTensor, reduce_point, section_apply
 from kq.linalg import (
-    FormalLinComb,
     ModPrimeEchelon,
     RatMatrix,
     SingularMatrixError,
@@ -126,6 +126,8 @@ def test_rat_coercion():
         rat(0.5)
     with pytest.raises(TypeError):
         rat(True)
+    with pytest.raises(ValueError):
+        rat("1/0")
 
 
 def test_matrix_json_roundtrip():
@@ -141,6 +143,8 @@ def test_matrix_immutability_and_hash():
 
 
 def test_lincomb_never_stores_zero():
-    u = FormalLinComb([("x", 1), ("x", -1)])
-    assert u.is_zero() and len(u) == 0
-    assert FormalLinComb({"y": 0}).is_zero()
+    y = reduce_point(RatMatrix([[1, 0, 2, 3], [0, 1, 4, 5]]))
+    # f for column (2, 4) on p0 - 2 p1: the p1 coefficient 1*4 - 2*2 cancels
+    u = section_apply("f", (1, 0), 3, y, FiberTensor((1, 0), {0: 1, 1: -2}))
+    assert u.terms == {0: 2, 2: -8} and u.coeff(1) == 0
+    assert FiberTensor((1, 0), {0: 0, 1: "0"}).terms == {}

@@ -2,10 +2,12 @@
 
 import pytest
 
+from kq import moduli
 from kq.fibers import reduce_point
 from kq.linalg import RatMatrix
 from kq.moduli import (
     GaugeElement,
+    NotInImageError,
     NotStableError,
     QuiverRep,
     RelationsViolatedError,
@@ -165,6 +167,22 @@ def test_reconstruct_rejects_unstable_input():
         mats[a] = RatMatrix.zeros(*shape)
     with pytest.raises(NotStableError):
         reconstruct(QuiverRep(4, mats))
+
+
+def test_sweep_alone_refuses_a_perturbed_embedding(monkeypatch):
+    """With both checks reporting clean, the sweep must still refuse +1 on
+    one entry of any arrow, including the arrows into (1, 0)."""
+    monkeypatch.setattr(moduli, "check_relations", lambda rep: [])
+    monkeypatch.setattr(moduli, "check_stability", lambda rep: moduli.StabilityReport((), True))
+    rep = scramble(embed(random_point(4, "sweep")), random_gauge(4, "sweep"))
+    for a in rep.quiver.arrows:
+        m = rep.matrices[a]
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        rows[0][0] += 1
+        mats = dict(rep.matrices)
+        mats[a] = RatMatrix(rows)
+        with pytest.raises(NotInImageError):
+            reconstruct(QuiverRep(4, mats))
 
 
 def test_reconstruct_handles_nonstandard_pivots():

@@ -9,7 +9,6 @@ from kq.tableaux import (
     Partition,
     SkewShape,
     SkewTableau,
-    contains,
     enumerate_ssyt,
     gamma_set,
     gl_dimension,
@@ -44,9 +43,9 @@ def test_partition_normalization_and_equality():
 
 
 def test_contains_examples():
-    assert contains((1, 0), (2, 1))
-    assert not contains((2, 2), (2, 1))
-    assert contains((0, 0), (0, 0))
+    assert Partition((2, 1)).contains((1, 0))
+    assert not Partition((2, 1)).contains((2, 2))
+    assert Partition((0, 0)).contains((0, 0))
 
 
 def test_enumerate_ssyt_small_shapes():
