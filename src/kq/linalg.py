@@ -2,7 +2,12 @@
 
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always in
 lowest terms).  ``RatMatrix`` is an immutable dense matrix of such scalars
-with exact products, inverse, rank and pivot columns.  ``SparseEchelon``
+with exact products, inverse, rank and pivot columns.  Products are taken
+over the integers: each operand is scaled once to integer entries over one
+common denominator (the lcm of its entries' denominators, kept on the
+matrix), and one ``Fraction`` is built per output entry.
+``linear_combination`` evaluates a sum of scaled matrix products the same
+way, with a single common denominator for the whole sum.  ``SparseEchelon``
 is the one exact integer eliminator: rank and pivot columns, the graded
 slices of the relation ideal and the exact fallback of the surjectivity
 check all insert integer rows into it.
@@ -16,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 
 # The largest prime below 2**30: residues stay one-digit CPython ints,
@@ -54,7 +60,7 @@ class RatMatrix:
     nonzero entry in column order, so results are deterministic.
     """
 
-    __slots__ = ("_rows", "_cols", "_e")
+    __slots__ = ("_rows", "_cols", "_e", "_ints")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [tuple(rat(x) for x in row) for row in entries]
@@ -66,6 +72,7 @@ class RatMatrix:
         object.__setattr__(self, "_rows", len(rows))
         object.__setattr__(self, "_cols", ncols)
         object.__setattr__(self, "_e", tuple(x for row in rows for x in row))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -76,6 +83,7 @@ class RatMatrix:
         object.__setattr__(m, "_rows", rows)
         object.__setattr__(m, "_cols", cols)
         object.__setattr__(m, "_e", flat)
+        object.__setattr__(m, "_ints", None)
         return m
 
     @classmethod
@@ -98,8 +106,8 @@ class RatMatrix:
         rows = blocks[0].rows
         if any(b.rows != rows for b in blocks):
             raise ValueError("row counts differ")
-        data = [sum((list(b.row(i)) for b in blocks), []) for i in range(rows)]
-        return cls(data)
+        flat = tuple(x for i in range(rows) for b in blocks for x in b.row(i))
+        return cls._raw(rows, sum(b.cols for b in blocks), flat)
 
     @property
     def rows(self) -> int:
@@ -123,7 +131,19 @@ class RatMatrix:
         return self._e[i * self._cols : (i + 1) * self._cols]
 
     def take_columns(self, idx: Sequence[int]) -> "RatMatrix":
-        return RatMatrix([[self[i, j] for j in idx] for i in range(self._rows)])
+        idx, e, c = tuple(idx), self._e, self._cols
+        if any(not 0 <= j < c for j in idx):
+            raise IndexError(idx)
+        return RatMatrix._raw(self._rows, len(idx), tuple(e[i * c + j] for i in range(self._rows) for j in idx))
+
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        """(ints, den) with self == ints / den entrywise, den the lcm of
+        the entries' denominators; computed once and kept."""
+        if self._ints is None:
+            den = lcm(*(x.denominator for x in self._e))
+            ints = tuple(x.numerator * (den // x.denominator) for x in self._e)
+            object.__setattr__(self, "_ints", (ints, den))
+        return self._ints
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
@@ -151,22 +171,10 @@ class RatMatrix:
             return NotImplemented
         if self._cols != other._rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        m, n, p = self._rows, self._cols, other._cols
-        zero = Fraction(0)
-        out = []
-        for i in range(m):
-            acc = [zero] * p
-            base = i * n
-            for k in range(n):
-                a = self._e[base + k]
-                if a:
-                    brow = other._e[k * p : (k + 1) * p]
-                    for j in range(p):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
-            out.extend(acc)
-        return RatMatrix._raw(m, p, tuple(out))
+        (a, da), (b, db) = self._scaled(), other._scaled()
+        d = da * db
+        prod = _int_product(a, b, self._rows, self._cols, other._cols)
+        return RatMatrix._raw(self._rows, other._cols, tuple(Fraction(x, d) for x in prod))
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix._raw(self._cols, self._rows, tuple(self._e[j * self._cols + i] for i in range(self._cols) for j in range(self._rows)))
@@ -226,6 +234,46 @@ class RatMatrix:
         if m.shape != (obj["rows"], obj["cols"]):
             raise ValueError("declared shape does not match entries")
         return m
+
+
+def _int_product(a: Sequence[int], b: Sequence[int], m: int, n: int, p: int) -> list[int]:
+    """The m x p product of the row-major integer m x n matrix a and
+    n x p matrix b, as a flat row-major list."""
+    rows = [a[i * n : (i + 1) * n] for i in range(m)]
+    cols = [b[j::p] for j in range(p)]
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
+def linear_combination(rows: int, cols: int, terms: Iterable[tuple[object, Sequence[RatMatrix]]]) -> RatMatrix:
+    """The exact rows x cols sum of c * F1 * F2 * ... * Fk over the terms
+    (c, (F1, ..., Fk)).
+
+    Every product is taken in integers on the scaled factors, and the sum
+    is formed as integers over the lcm of the terms' denominators, so
+    one Fraction is built per entry of a nonzero sum and none for a zero
+    one.
+    """
+    scaled = []
+    for c, factors in terms:
+        c = rat(c)
+        ints, den = factors[0]._scaled()
+        r, k = factors[0].shape
+        for f in factors[1:]:
+            if f.rows != k:
+                raise ValueError(f"cannot multiply {(r, k)} by {f.shape}")
+            b, db = f._scaled()
+            ints, den, k = _int_product(ints, b, r, k, f.cols), den * db, f.cols
+        if (r, k) != (rows, cols):
+            raise ValueError(f"term of shape {(r, k)} in a {(rows, cols)} sum")
+        scaled.append((c.numerator, c.denominator * den, ints))
+    lcd = lcm(*(d for _, d, _ in scaled))
+    acc = [0] * (rows * cols)
+    for num, d, ints in scaled:
+        w = num * (lcd // d)
+        acc = [x + w * y for x, y in zip(acc, ints)]
+    if not any(acc):
+        return RatMatrix.zeros(rows, cols)
+    return RatMatrix._raw(rows, cols, tuple(Fraction(x, lcd) for x in acc))
 
 
 class SparseEchelon:

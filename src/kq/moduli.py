@@ -5,7 +5,8 @@ matrix of the shape forced by the vertex dimensions (the fiber dimension
 lam1 - lam2 + 1 at each weight lam).  A point embeds by placing the two
 banded matrices on the arrows; stability of a representation is the
 full-rank condition on the concatenated incoming matrices at every
-non-source vertex, and the relation families must evaluate to zero.
+non-source vertex, and the relation families must evaluate to zero
+(each relation is summed in integers over one common denominator).
 
 Reconstruction inverts the embedding: given any stable representation
 satisfying the relations, a single sweep through the vertices in degree
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .fibers import GrPoint, f_matrix, g_matrix, reduce_point
-from .linalg import RatMatrix, SingularMatrixError
+from .linalg import RatMatrix, SingularMatrixError, linear_combination
 from .quiver import Arrow, Path, RelationElement, build_quiver, relation_sets
 
 SOURCE = (0, 0)
@@ -243,13 +244,13 @@ def check_stability(rep: QuiverRep) -> StabilityReport:
 
 
 def evaluate_relation(rep: QuiverRep, rel: RelationElement) -> RatMatrix:
-    """The matrix value of a relation element on the representation."""
+    """The matrix value of a relation element on the representation,
+    summed in integers over one common denominator."""
     d_head = rep.quiver.vertex_dim(rel.head)
     d_tail = rep.quiver.vertex_dim(rel.tail)
-    acc = RatMatrix.zeros(d_head, d_tail)
-    for p, c in rel.terms.items():
-        acc = acc + rep.path_matrix(p).scale(c)
-    return acc
+    mats = rep.matrices
+    terms = [(c, [mats[a] for a in reversed(p.arrows)]) for p, c in rel.terms.items()]
+    return linear_combination(d_head, d_tail, terms)
 
 
 def check_relations(rep: QuiverRep) -> list[RelationViolation]:

@@ -190,6 +190,7 @@ class TiltingQuiver:
             self._out[a.tail].append(a)
             self._in[a.head].append(a)
         self._ideal_cache: dict = {}
+        self._relations: list[RelationElement] | None = None
 
     def arrows_from(self, v) -> list[Arrow]:
         return self._out[tuple(v)]
@@ -292,11 +293,11 @@ def relation_set_for(q: TiltingQuiver, lam, mu) -> list[RelationElement]:
 
 
 def relation_sets(q: TiltingQuiver) -> list[RelationElement]:
-    """All degree-two relation basis elements of the quiver."""
-    out = []
-    for lam, mu, _ in p2_pairs(q):
-        out.extend(relation_set_for(q, lam, mu))
-    return out
+    """All degree-two relation basis elements of the quiver, built once
+    per quiver; each call returns a fresh list."""
+    if q._relations is None:
+        q._relations = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
+    return list(q._relations)
 
 
 def enumerate_routes(q: TiltingQuiver, lam, mu) -> list[tuple[int, ...]]:

@@ -11,6 +11,7 @@ from kq.linalg import (
     ModPrimeEchelon,
     RatMatrix,
     SingularMatrixError,
+    linear_combination,
     rat,
     rat_to_json,
 )
@@ -37,6 +38,38 @@ def low_rank_matrix(draw, max_dim=8):
     b = draw(st.lists(st.lists(rational, min_size=c, max_size=c), min_size=k, max_size=k))
     zero = draw(st.sets(st.integers(0, c - 1)))
     return a * RatMatrix([[0 if j in zero else x for j, x in enumerate(row)] for row in b])
+
+
+# p/q entries with denominators up to 10**15, and many zeros
+big_rational = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**15))
+product_entry = st.one_of(st.just(Fraction(0)), rational, big_rational)
+
+
+def schoolbook_product(a: RatMatrix, b: RatMatrix) -> list[list[Fraction]]:
+    """Reference product: one Fraction multiply-add per term."""
+    return [
+        [sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+@st.composite
+def product_operands(draw, max_dim=6):
+    """An m x n and an n x p matrix of p/q entries (1 x k and k x 1
+    shapes included), with some rows of the left and columns of the
+    right operand all zero."""
+    k = st.integers(1, max_dim)
+    m, n, p = draw(st.one_of(st.tuples(k, k, k), st.tuples(st.just(1), k, st.just(1)), st.tuples(k, st.just(1), k)))
+
+    def matrix(r, c, zero_rows=(), zero_cols=()):
+        rows = draw(st.lists(st.lists(product_entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        return RatMatrix(
+            [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        )
+
+    a = matrix(m, n, zero_rows=draw(st.sets(st.integers(0, m - 1))))
+    b = matrix(n, p, zero_cols=draw(st.sets(st.integers(0, p - 1))))
+    return a, b
 
 
 def greedy_pivot_columns(m: RatMatrix) -> list[int]:
@@ -87,6 +120,44 @@ def test_rank_of_product_bounded(r, k, c, data):
     a = RatMatrix(data.draw(st.lists(st.lists(rational, min_size=k, max_size=k), min_size=r, max_size=r)))
     b = RatMatrix(data.draw(st.lists(st.lists(rational, min_size=c, max_size=c), min_size=k, max_size=k)))
     assert (a * b).rank() <= min(a.rank(), b.rank())
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_product_matches_schoolbook_fractions(operands):
+    a, b = operands
+    ab = a * b
+    assert ab.shape == (a.rows, b.cols)
+    assert ab == RatMatrix(schoolbook_product(a, b))
+    # a second product reuses the scaled forms kept on a and b
+    assert a * b == ab
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands(), st.lists(rational.filter(bool), min_size=1, max_size=3), st.booleans())
+def test_linear_combination_matches_fraction_sum(operands, coeffs, cancel):
+    a, b = operands
+    terms = [(c, (a, b)) for c in coeffs] + [(c, (a * b,)) for c in coeffs]
+    if cancel:  # the sum of every term and its negative is exactly zero
+        terms += [(-c, factors) for c, factors in terms]
+    total = sum(c for c, _ in terms)  # every term is c times the product a b
+    expect = RatMatrix([[total * x for x in row] for row in schoolbook_product(a, b)])
+    assert linear_combination(a.rows, b.cols, terms) == expect
+    with pytest.raises(ValueError):
+        linear_combination(a.rows + 1, b.cols, terms)
+
+
+def test_stacking_and_column_selection_keep_entries():
+    a = RatMatrix([[1, "1/2"], ["-2/3", 0]])
+    b = RatMatrix([["5/7"], [3]])
+    ab = RatMatrix.hstack([a, b, a])
+    assert ab == RatMatrix([[1, "1/2", "5/7", 1, "1/2"], ["-2/3", 0, 3, "-2/3", 0]])
+    assert ab.take_columns(range(2, 4)) == RatMatrix([["5/7", 1], [3, "-2/3"]])
+    assert ab.take_columns([4, 0]) == RatMatrix([["1/2", 1], [0, "-2/3"]])
+    assert ab.take_columns([]).shape == (2, 0)
+    for bad in (5, -1):
+        with pytest.raises(IndexError):
+            ab.take_columns([0, bad])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,8 @@
 """Embedding, stability, gauge action, and reconstruction."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from kq import moduli
@@ -17,12 +20,13 @@ from kq.moduli import (
     check_relations,
     check_stability,
     embed,
+    evaluate_relation,
     random_gauge,
     random_point,
     reconstruct,
     scramble,
 )
-from kq.quiver import build_quiver
+from kq.quiver import build_quiver, relation_sets
 
 
 def canonical_point(x1, x2, x3, x4):
@@ -102,6 +106,41 @@ def test_perturbation_is_detected():
     mats = dict(rep.matrices)
     mats[a] = RatMatrix(rows)
     assert check_relations(QuiverRep(4, mats))
+
+
+def fraction_residual(rep: QuiverRep, rel) -> RatMatrix:
+    """Reference value of a relation: the sum of c * path_matrix(p),
+    taken entry by entry in Fractions."""
+    d_head, d_tail = rep.quiver.vertex_dim(rel.head), rep.quiver.vertex_dim(rel.tail)
+    acc = [[Fraction(0)] * d_tail for _ in range(d_head)]
+    for p, c in rel.terms.items():
+        m = rep.path_matrix(p)
+        acc = [[x + c * m[i, j] for j, x in enumerate(row)] for i, row in enumerate(acc)]
+    return RatMatrix(acc)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_integer_relation_check_matches_fraction_oracle(n):
+    """On perturbed scrambled embeddings every nonzero residual equals the
+    Fraction sum of its path matrices, and check_relations reports exactly
+    the relations whose oracle residual is nonzero, in relation order."""
+    rng = random.Random(f"oracle:{n}")
+    q = build_quiver(n)
+    rels = relation_sets(q)
+    for trial in range(3):
+        rep = scramble(embed(random_point(n, f"oracle:{trial}")), random_gauge(n, f"oracle:{trial}"))
+        a = rng.choice(q.arrows)
+        m = rep.matrices[a]
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += Fraction(1, 7)
+        bad = QuiverRep(n, {**rep.matrices, a: RatMatrix(rows)})
+        expect = [(rel, fraction_residual(bad, rel)) for rel in rels]
+        expect = [(rel, r) for rel, r in expect if not r.is_zero()]
+        assert expect
+        for rel, r in expect:
+            assert evaluate_relation(bad, rel) == r
+        assert any(r[i, j].denominator > 1 for _, r in expect for i in range(r.rows) for j in range(r.cols))
+        assert [(v.relation, v.residual) for v in check_relations(bad)] == expect
 
 
 def test_scramble_group_action():

@@ -238,6 +238,17 @@ def test_relation_sets_cover_all_p2_pairs():
     assert set(pair_count) == {(lam, mu) for lam, mu, _ in p2_pairs(q)}
 
 
+def test_relation_sets_are_built_once_and_returned_fresh():
+    q = build_quiver(5)
+    first = relation_sets(q)
+    first.clear()
+    again = relation_sets(q)
+    assert again and again == relation_sets(q) and again is not relation_sets(q)
+    assert all(a is b for a, b in zip(again, relation_sets(q)))
+    built = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
+    assert [r.to_json() for r in again] == [r.to_json() for r in built]
+
+
 def test_relation_element_rejects_mismatched_paths():
     from kq.quiver import RelationElement
 
