@@ -8,11 +8,13 @@ from .tableaux import (
     Partition,
     SkewShape,
     SkewTableau,
+    dominant_weights,
     enumerate_ssyt,
     gamma_set,
     gl_dimension,
     hom_dim,
     is_lattice_word,
+    kostka,
     lr_number,
     pieri_col,
     pieri_row,

@@ -11,9 +11,13 @@ evaluator that derives the same matrices directly from the definitions
 horizontal-then-vertical staircase between two weights.
 
 `surjectivity_rank` certifies that these compositions span the graded
-map space.  It evaluates them at seeded integer points in plain integer
-arithmetic, eliminates mod a fixed prime until the rank reaches
-`hom_dim`, and falls back to an exact integer rank when it does not.
+map space, one torus weight at a time.  For each dominant weight alpha
+it evaluates the compositions of the words of content alpha that are
+nondecreasing inside each run, at seeded integer points in plain
+integer arithmetic; it eliminates mod a fixed prime until the rank
+reaches the weight's multiplicity (a sum of two-row Kostka numbers),
+falls back to an exact integer rank when it does not, and compares the
+block ranks, each counted with its S_n orbit size, with `hom_dim`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon, rat, rat_to_json
-from .tableaux import NotContainedError, Partition, hom_dim
+from .tableaux import NotContainedError, Partition, dominant_weights, hom_dim
 
 
 class RankDeficientError(ValueError):
@@ -313,89 +317,132 @@ def sample_point(n: int, seed, bound: int = 9) -> GrPoint:
     return GrPoint(RatMatrix(rows))
 
 
-def _sample_rows(seq: Sequence[Partition], y: GrPoint) -> list[list[int]]:
-    """The staircase compositions of every column word at an integer
-    point, as integer rows: one row per matrix entry (i, j), one column
-    per word, words in lexicographic order.
-
-    The banded step matrices are built once per step and column, and the
-    products share their common prefixes.
-    """
-    steps = []
+def _step_tables(seq: Sequence[Partition], y: GrPoint, width: int) -> list:
+    """The banded step matrices at an integer point, per staircase step
+    and per column 1..width, as sparse integer rows [(col, value), ...]."""
+    tables = []
     for tau, nxt in zip(seq, seq[1:]):
         make = f_matrix if nxt.part(0) > tau.part(0) else g_matrix
         level = []
-        for rho in range(1, y.n + 1):
+        for rho in range(1, width + 1):
             m = make(fiber_dim(tau), y.column(rho))
             level.append([[(c, int(v)) for c, v in enumerate(m.row(i)) if v] for i in range(m.rows)])
-        steps.append(level)
-    d_lam, d_mu = fiber_dim(seq[0]), fiber_dim(seq[-1])
+        tables.append(level)
+    return tables
+
+
+def _block_rows(tables: list, horizontal: int, alpha: Sequence[int], d_lam: int) -> list[list[int]]:
+    """The staircase compositions at one point of the words of content
+    alpha that are nondecreasing inside the horizontal run and inside the
+    vertical run, as integer rows: one row per matrix entry (i, j), one
+    column per word.  The products share their common prefixes."""
+    remaining = list(alpha)
     thetas: list[list[list[int]]] = []
 
-    def descend(level: int, partial: list[list[int]]):
-        if level == len(steps):
+    def descend(level: int, partial: list[list[int]], low: int):
+        if level == len(tables):
             thetas.append(partial)
             return
-        for step in steps[level]:
+        if level == horizontal:
+            low = 0  # the vertical run starts
+        for rho in range(low, len(remaining)):
+            if not remaining[rho]:
+                continue
+            remaining[rho] -= 1
             product = []
-            for terms in step:
+            for terms in tables[level][rho]:
                 acc = [0] * d_lam
                 for c, v in terms:
                     acc = [a + v * b for a, b in zip(acc, partial[c])]
                 product.append(acc)
-            descend(level + 1, product)
+            descend(level + 1, product, rho)
+            remaining[rho] += 1
 
-    descend(0, [[int(i == j) for j in range(d_lam)] for i in range(d_lam)])
-    return [[t[i][j] for t in thetas] for i in range(d_mu) for j in range(d_lam)]
+    descend(0, [[int(i == j) for j in range(d_lam)] for i in range(d_lam)], 0)
+    return [[t[i][j] for t in thetas] for i in range(len(thetas[0])) for j in range(d_lam)]
 
 
 def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
-    """Evaluation rank of the staircase composition map.
+    """Evaluation rank of the staircase composition map, certified one
+    torus weight at a time.
 
-    The entries of the composed matrices over all column words, at
-    seeded integer points, are rows of a map from the word space; its
-    rank never exceeds the total dimension `hom_dim` of the target
-    constituents, and equality certifies that compositions of
-    elementary maps span the whole graded piece.
+    Each step matrix is linear in the point column it reads, so the
+    composition theta_w of a column word w is multihomogeneous of degree
+    content(w) in the columns of a 2 x n matrix, and functions of
+    different degrees are linearly independent: the evaluation rank
+    splits into one block per weight alpha.  Permuting the columns maps
+    block alpha onto block sigma(alpha) with the same rank, so only the
+    dominant weights of `dominant_weights` are evaluated, each counted
+    with its S_n orbit size.  The ff and gg relations make two words
+    equal when they differ by a reordering inside the horizontal or the
+    vertical run, so a block takes only the words nondecreasing inside
+    each run.
 
-    Points are drawn one at a time and their rows are eliminated mod
-    `linalg.PRIME`, stopping as soon as the rank reaches `hom_dim` or
-    the draw count reaches max(samples, 2 * ceil(hom_dim / (d_lam * d_mu))).
-    Since rank mod p <= rank over Q <= hom_dim, reaching hom_dim mod p
-    is exact.  On a shortfall the exact rank of the same rows decides:
-    status `ok` at hom_dim, `inconclusive` below it (more points might
-    still reach it), `fail` above it (which the theory excludes).
+    The certificate is one-sided whatever the points are.  The sample
+    rank of a block is at most the dimension of the span of its
+    functions; those spans are independent subspaces of the graded map
+    space, so their dimensions sum to at most `hom_dim`, and
+    rank = sum of orbit * block rank <= hom_dim.  Equality certifies
+    that compositions of elementary maps span the whole graded piece.
+    A block's functions lie in the alpha weight space of the
+    constituents, whose dimension is mult = sum of K_{gamma, alpha}; that
+    bound only says when to stop, and sets the block's own budget.
+
+    Per block, points are drawn one at a time and their rows are
+    eliminated mod `linalg.PRIME`, until the rank reaches mult or the
+    draw count reaches max(samples, 2 * ceil(mult / (d_lam * d_mu))).
+    Since rank mod p <= rank over Q, reaching mult mod p is exact; on a
+    shortfall the exact integer rank of the same rows decides.  The
+    report's `samples` is the largest draw count of any block.  Status
+    `ok` when the rank equals hom_dim and every block its mult (with
+    true multiplicities either implies the other), `fail` when the rank
+    exceeds hom_dim (which the theory excludes), `inconclusive`
+    otherwise; a report that is not `ok` lists every block whose rank
+    differs from its mult as [alpha, rank, mult] under `short_weights`.
     """
     lam, mu = Partition.coerce(lam), Partition.coerce(mu)
     seq = staircase(lam, mu)
-    n_words = n ** (len(seq) - 1)
-    d_mu, d_lam = fiber_dim(mu), fiber_dim(lam)
+    length = len(seq) - 1
+    horizontal = mu.part(0) - lam.part(0)
+    d_lam, d_mu = fiber_dim(lam), fiber_dim(mu)
     expected = hom_dim(lam, mu, n)
-    budget = max(samples, 2 * -(-expected // (d_lam * d_mu)))
-
-    echelon = ModPrimeEchelon()
-    drawn = 0
-    while echelon.rank < expected and drawn < budget:
-        for row in _sample_rows(seq, sample_point(n, f"{seed}:{drawn}")):
-            if echelon.insert(row) and echelon.rank == expected:
-                break
-        drawn += 1
-    rank = echelon.rank
-    if rank < expected:
-        # Rebuilt rather than kept: the certified path holds one sample's rows at a time.
-        exact = SparseEchelon()
-        for s in range(drawn):
-            for row in _sample_rows(seq, sample_point(n, f"{seed}:{s}")):
+    tables: list = []  # step matrices per sample point, shared by the blocks
+    rank = samples_drawn = 0
+    short = []
+    for alpha, orbit, mult in dominant_weights(lam, mu, n):
+        budget = max(samples, 2 * -(-mult // (d_lam * d_mu)))
+        echelon = ModPrimeEchelon()
+        rows: list[list[int]] = []
+        drawn = 0
+        while echelon.rank < mult and drawn < budget:
+            if drawn == len(tables):
+                tables.append(_step_tables(seq, sample_point(n, f"{seed}:{drawn}"), min(n, length)))
+            for row in _block_rows(tables[drawn], horizontal, alpha, d_lam):
+                rows.append(row)
+                if echelon.insert(row) and echelon.rank == mult:
+                    break
+            drawn += 1
+        block_rank = echelon.rank
+        if block_rank < mult:
+            exact = SparseEchelon()
+            for row in rows:
                 exact.insert(dict(enumerate(row)))
-        rank = exact.rank
-    status = "ok" if rank == expected else "fail" if rank > expected else "inconclusive"
-    return {
+            block_rank = exact.rank
+        if block_rank != mult:
+            short.append([list(alpha), block_rank, mult])
+        rank += orbit * block_rank
+        samples_drawn = max(samples_drawn, drawn)
+    status = "fail" if rank > expected else "ok" if rank == expected and not short else "inconclusive"
+    report = {
         "lam": list(lam.padded(2)),
         "mu": list(mu.padded(2)),
-        "words": n_words,
-        "samples": drawn,
+        "words": n**length,
+        "samples": samples_drawn,
         "rank": rank,
         "hom_dim": expected,
         "status": status,
         "ok": status == "ok",
     }
+    if status != "ok":
+        report["short_weights"] = short
+    return report

@@ -3,14 +3,17 @@
 Partitions, skew shapes and semistandard (skew) tableaux, reverse words
 and the lattice-word condition, Littlewood-Richardson numbers by direct
 tableau enumeration, Pieri rules, dimensions of irreducible GL(n)
-representations by the hook-content formula, and the closed-form list
-of irreducible constituents of a two-row skew shape.
+representations by the hook-content formula, the closed-form list
+of irreducible constituents of a two-row skew shape, two-row Kostka
+numbers, and the dominant torus weights of the graded map spaces.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 
@@ -443,3 +446,48 @@ def hom_dim(lam, mu, n: int) -> int:
     """Total dimension of the constituents of the two-row skew shape mu/lam
     as GL(n) representations."""
     return sum(gl_dimension(g, n) for g in gamma_set(lam, mu))
+
+
+def kostka(gam, alpha: Sequence[int]) -> int:
+    """The Kostka number K_{gam, alpha} for a two-row gam: semistandard
+    tableaux of shape gam with alpha[i] entries equal to i + 1.
+
+    Letters are placed in increasing order, each as a horizontal strip:
+    x copies end the second row and the rest end the first, and the new
+    second row may not pass the old first row.
+    """
+    gam = Partition.coerce(gam)
+    if gam.num_rows > 2:
+        raise ValueError("two-row partitions only")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"negative entry in the content {tuple(alpha)}")
+    g1, g2 = gam.padded(2)
+    ways = {0: 1}  # first-row length -> tableaux; the second row holds the rest
+    placed = 0
+    for a in alpha:
+        grown: dict[int, int] = {}
+        for r1, count in ways.items():
+            r2 = placed - r1
+            for x in range(min(a, r1 - r2) + 1):
+                if r1 + a - x <= g1 and r2 + x <= g2:
+                    grown[r1 + a - x] = grown.get(r1 + a - x, 0) + count
+        ways = grown
+        placed += a
+    return ways.get(g1, 0) if placed == g1 + g2 else 0
+
+
+def dominant_weights(lam, mu, n: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The torus weights of the graded map space mu/lam as a GL(n)
+    representation, one entry (alpha, orbit, mult) per dominant weight.
+
+    alpha runs over the partitions of |mu| - |lam| with at most n parts;
+    orbit is the size of its S_n orbit in N^n and mult the multiplicity
+    sum over gamma_set(lam, mu) of K_{gamma, alpha}, shared by the whole
+    orbit.  The sum of orbit * mult is hom_dim(lam, mu, n).
+    """
+    gammas = gamma_set(lam, mu)
+    out = []
+    for alpha in _partitions_of(gammas[0].size, max_parts=n):
+        orbit = factorial(n) // (factorial(n - len(alpha)) * prod(map(factorial, Counter(alpha).values())))
+        out.append((alpha, orbit, sum(kostka(g, alpha) for g in gammas)))
+    return out

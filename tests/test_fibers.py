@@ -28,7 +28,7 @@ from kq.fibers import (
 from kq.linalg import RatMatrix
 from kq.moduli import random_point
 from kq.quiver import build_quiver, containment_pairs
-from kq.tableaux import NotContainedError, Partition, hom_dim
+from kq.tableaux import NotContainedError, Partition, dominant_weights, hom_dim
 
 
 def test_reduce_point_fixes_canonical_matrix():
@@ -221,9 +221,11 @@ def test_surjectivity_falls_back_to_exact_rank(monkeypatch):
             exact_inserts.append(len(vec))
             return super().insert(vec)
 
-    monkeypatch.setattr(linalg, "PRIME", 2)  # rank mod 2 falls short here
+    monkeypatch.setattr(linalg, "PRIME", 2)
     monkeypatch.setattr(fibers, "SparseEchelon", Spy)
-    r = surjectivity_rank(4, (0, 0), (2, 2), 10, "unit")
+    # With samples=4 the (1,1,1,1) block may draw 2 * ceil(2 / 1) = 4
+    # points, and mod 2 their rows reach rank 1 of its 2.
+    r = surjectivity_rank(4, (0, 0), (2, 2), 4, "unit")
     assert exact_inserts and r["status"] == "ok" and r["rank"] == r["hom_dim"] == 20
 
 
@@ -231,9 +233,37 @@ def test_surjectivity_below_hom_dim_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(fibers, "hom_dim", lambda lam, mu, n: hom_dim(lam, mu, n) + 1)
     r = surjectivity_rank(4, (0, 0), (1, 1), 10, "unit")
     assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("inconclusive", False, 6, 7)
-    assert r["samples"] == 14  # the budget: 2 * ceil(7 / 1)
+    assert r["samples"] == 1  # each block stops at its own multiplicity, whatever hom_dim says
     code = run(["verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1", "--json"])
     assert code == 1 and '"status":"inconclusive"' in capsys.readouterr().out
+
+
+def test_short_block_is_named_in_the_report(monkeypatch, capsys):
+    raised = lambda lam, mu, n: [(a, o, m + (a == (1, 1))) for a, o, m in dominant_weights(lam, mu, n)]
+    monkeypatch.setattr(fibers, "dominant_weights", raised)
+    r = surjectivity_rank(4, (0, 0), (1, 1), 10, "unit")
+    assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("inconclusive", False, 6, 6)
+    assert r["short_weights"] == [[[1, 1], 1, 2]]
+    assert r["samples"] == 10  # the (1,1) block spent its whole budget, max(10, 2 * ceil(2 / 1))
+    code = run(["verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1", "--json"])
+    assert code == 1 and '"short_weights":[[[1,1],1,2]]' in capsys.readouterr().out
+
+
+def test_ok_report_keeps_its_keys():
+    r = surjectivity_rank(5, (1, 0), (3, 2), 40, "keys")
+    assert list(r) == ["lam", "mu", "words", "samples", "rank", "hom_dim", "status", "ok"]
+    assert r["ok"] and r["words"] == 5**4
+
+
+def test_block_rank_depends_only_on_the_pair_and_the_weight(monkeypatch):
+    # One more than each multiplicity makes every block draw its whole
+    # budget and report the rank it reached under short_weights.
+    raised = lambda lam, mu, n: [(a, o, m + 1) for a, o, m in dominant_weights(lam, mu, n)]
+    monkeypatch.setattr(fibers, "dominant_weights", raised)
+    for lam, mu in containment_pairs(build_quiver(5), 4):
+        blocks = {n: surjectivity_rank(n, lam, mu, 4, "n-free")["short_weights"] for n in (5, 8)}
+        assert blocks[5] == blocks[8], (lam, mu)
+        assert all(rank == bound - 1 for _, rank, bound in blocks[5]), (lam, mu)
 
 
 def test_point_json_roundtrip_and_validation():

@@ -1,19 +1,23 @@
 """Partition and tableau combinatorics against enumeration oracles."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from kq.quiver import build_quiver, containment_pairs
 from kq.tableaux import (
     NotContainedError,
     Partition,
     SkewShape,
     SkewTableau,
+    dominant_weights,
     enumerate_ssyt,
     gamma_set,
     gl_dimension,
     hom_dim,
     is_lattice_word,
+    kostka,
     lr_number,
     pieri_col,
     pieri_row,
@@ -283,3 +287,28 @@ def test_skew_dimension_identity():
             for n in range(1, 6):
                 total = sum(m * gl_dimension(g, n) for g, m in skew_decomposition(shape) if g.num_rows <= n)
                 assert total == len(enumerate_ssyt(shape, n))
+
+
+def test_kostka_counts_tableaux_by_content():
+    for gam in two_row_partitions(6):
+        for k in range(1, 5):
+            tableaux = enumerate_ssyt(SkewShape((), gam), k)
+            by_content = Counter(tuple(sum(row.count(i) for row in t.rows) for i in range(1, k + 1)) for t in tableaux)
+            for alpha in itertools.product(range(gam.size + 1), repeat=k):
+                if sum(alpha) == gam.size:
+                    assert kostka(gam, alpha) == by_content[alpha], (gam, alpha)
+    assert kostka((2, 2), (1, 1, 1)) == 0  # the content must fill the shape
+    with pytest.raises(ValueError):
+        kostka((1, 1, 1), (1, 1, 1))
+    with pytest.raises(ValueError):
+        kostka((2,), (3, -1))
+
+
+def test_dominant_weights_sum_to_hom_dim():
+    # Checks the weight loop, the orbit sizes and the Kostka numbers together.
+    for n in range(4, 9):
+        for lam, mu in containment_pairs(build_quiver(n), 6):
+            weights = dominant_weights(lam, mu, n)
+            assert all(sum(alpha) == sum(mu) - sum(lam) and len(alpha) <= n for alpha, _, _ in weights)
+            assert sum(orbit * mult for _, orbit, mult in weights) == hom_dim(lam, mu, n), (n, lam, mu)
+    assert dominant_weights((0, 0), (1, 1), 4) == [((2,), 4, 0), ((1, 1), 6, 1)]
