@@ -279,7 +279,9 @@ def linear_combination(rows: int, cols: int, terms: Iterable[tuple[object, Seque
 class SparseEchelon:
     """Row echelon structure for sparse integer vectors over column
     indices; rows are scale-normalized (content one, positive pivot), so
-    the reduction is exact over the rationals."""
+    the reduction is exact over the rationals.  A reduction step scales
+    the vector by a positive rational only, so which of its two forms is
+    taken never changes a stored row."""
 
     def __init__(self):
         self.pivot_rows: dict[int, dict[int, int]] = {}
@@ -302,7 +304,10 @@ class SparseEchelon:
                 self.pivot_rows[p] = v
                 return True
             a, b = v[p], row[p]
-            v = {c: b * x for c, x in v.items()}
+            if a % b:
+                v = {c: b * x for c, x in v.items()}
+            else:  # b divides a: subtract (a // b) * row, no scaling
+                a //= b
             for c, x in row.items():
                 s = v.get(c, 0) - a * x
                 if s:

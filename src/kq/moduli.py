@@ -134,18 +134,28 @@ class GaugeElement:
         self.blocks = out
 
     @classmethod
+    def _trusted(cls, n: int, blocks: dict[tuple[int, int], RatMatrix]) -> "GaugeElement":
+        """A gauge from blocks already known to be invertible, one per
+        vertex with the right shape; no rank is recomputed."""
+        g = object.__new__(cls)
+        g.n, g.blocks = n, blocks
+        return g
+
+    @classmethod
     def identity(cls, n: int) -> "GaugeElement":
         q = build_quiver(n)
-        return cls(n, {v: RatMatrix.identity(q.vertex_dim(v)) for v in q.vertices})
+        return cls._trusted(n, {v: RatMatrix.identity(q.vertex_dim(v)) for v in q.vertices})
 
     def inverse(self) -> "GaugeElement":
-        return GaugeElement(self.n, {v: b.invert() for v, b in self.blocks.items()})
+        # invert() raises on a singular block, so every result is invertible
+        return GaugeElement._trusted(self.n, {v: b.invert() for v, b in self.blocks.items()})
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         """The gauge acting as `self` after `other`."""
         if self.n != other.n:
             raise ValueError("sizes differ")
-        return GaugeElement(self.n, {v: self.blocks[v] * other.blocks[v] for v in self.blocks})
+        # a product of invertible blocks is invertible
+        return GaugeElement._trusted(self.n, {v: self.blocks[v] * other.blocks[v] for v in self.blocks})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaugeElement):
@@ -314,7 +324,7 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
             work[a] = work[a] * g
         if _incoming(q, work, v) != canon:
             raise NotInImageError(f"normalized matrices at {v} do not match the embedding")
-    return point, GaugeElement(rep.n, blocks)
+    return point, GaugeElement._trusted(rep.n, blocks)  # every block was inverted above
 
 
 def random_point(n: int, seed) -> GrPoint:
@@ -344,4 +354,4 @@ def random_gauge(n: int, seed) -> GaugeElement:
             if b.rank() == d:
                 blocks[v] = b
                 break
-    return GaugeElement(n, blocks)
+    return GaugeElement._trusted(n, blocks)

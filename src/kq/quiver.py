@@ -8,6 +8,13 @@ commuting vertical pairs, anticommuting pairs through a diagonal vertex,
 and a three-term exchange around each square).  Graded slices of the
 ideal are computed by exact sparse elimination over the monomial path
 basis, extending lower-degree slices one arrow at a time.
+
+Slices hold no Path objects.  The paths lam -> mu of L steps are
+numbered as enumerate_paths lists them: column route_index * n**L +
+word, where the route is the direction string of the walk and the word
+is the base-n number of the column indices minus one, the tail arrow's
+digit most significant.  Extending a row of a shorter slice by an arrow
+at the head or at the tail then maps its columns by integer arithmetic.
 """
 
 from __future__ import annotations
@@ -96,14 +103,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.arrows)
-
-    def extend_left(self, a: Arrow) -> "Path":
-        """Postcompose with an arrow at the head."""
-        return Path(self.arrows + (a,))
-
-    def extend_right(self, a: Arrow) -> "Path":
-        """Precompose with an arrow at the tail."""
-        return Path((a,) + self.arrows)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Path):
@@ -330,19 +329,22 @@ def path_count(q: TiltingQuiver, lam, mu) -> int:
     return len(enumerate_routes(q, lam, mu)) * q.n**length
 
 
-def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
-    """All monomial paths lam -> mu, grouped by route, columns in
-    lexicographic order; subject to the path-space guardrail."""
-    lam, mu = tuple(lam), tuple(mu)
-    if lam == mu:
-        return [Path()]
-    count = path_count(q, lam, mu)
+def _check_path_space(count: int, lam, mu) -> None:
     limit = max_paths_limit()
     if count > limit:
         raise PathSpaceTooLargeError(
             f"{count} paths from {lam} to {mu} exceeds the guardrail of {limit}; "
             "set KQ_MAX_PATHS to override"
         )
+
+
+def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
+    """All monomial paths lam -> mu, grouped by route, columns in
+    lexicographic order; subject to the path-space guardrail."""
+    lam, mu = tuple(lam), tuple(mu)
+    if lam == mu:
+        return [Path()]
+    _check_path_space(path_count(q, lam, mu), lam, mu)
     out = []
     for route in enumerate_routes(q, lam, mu):
         partial = [([], lam)]
@@ -357,56 +359,67 @@ def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
     return out
 
 
-def _ideal_slice(q: TiltingQuiver, lam, mu) -> tuple[SparseEchelon, list[Path], dict[Path, int]]:
+def _ideal_slice(q: TiltingQuiver, lam, mu) -> tuple[SparseEchelon, list[tuple[int, ...]]]:
     """Echelon basis of the graded slice of the relation ideal between
-    two vertices, over the monomial path basis.
+    two vertices, over the path columns of the module docstring, and
+    the routes lam -> mu.
 
     Built lazily by degree: the degree-two slices are the relation
     bases themselves; longer slices are spanned by lower slices extended
-    by a single arrow at the head or at the tail.
+    by a single arrow at the head (column r * n**(L-1) + w goes to
+    pos[route_r + (dir,)] * n**L + w * n + rho - 1) or at the tail (to
+    pos[(dir,) + route_r] * n**L + (rho - 1) * n**(L-1) + w).
     """
     lam, mu = tuple(lam), tuple(mu)
     key = (lam, mu)
     if key in q._ideal_cache:
         return q._ideal_cache[key]
-    paths = enumerate_paths(q, lam, mu)
-    index = {p: i for i, p in enumerate(paths)}
+    n = q.n
+    routes = enumerate_routes(q, lam, mu)
+    length = len(routes[0]) if routes else 0
+    size = n**length
+    if lam != mu:
+        _check_path_space(len(routes) * size, lam, mu)
+    pos = {r: i for i, r in enumerate(routes)}
     ech = SparseEchelon()
-    length = (mu[0] - lam[0]) + (mu[1] - lam[1])
     if length == 2:
         for rel in relation_set_for(q, lam, mu):
             vec = {}
             for p, c in rel.terms.items():
                 assert c.denominator == 1
-                vec[index[p]] = vec.get(index[p], 0) + int(c)
+                a, b = p.arrows
+                vec[pos[(a.direction, b.direction)] * size + (a.rho - 1) * n + b.rho - 1] = int(c)
             ech.insert(vec)
     elif length > 2:
+        low = size // n
         for a in q.arrows_into(mu):
             if not (lam[0] <= a.tail[0] and lam[1] <= a.tail[1]):
                 continue
-            sub_ech, sub_paths, _ = _ideal_slice(q, lam, a.tail)
+            sub_ech, sub_routes = _ideal_slice(q, lam, a.tail)
+            base = [pos[r + (a.direction,)] * size + a.rho - 1 for r in sub_routes]
             for row in sub_ech.basis():
-                ech.insert({index[sub_paths[c].extend_left(a)]: x for c, x in row.items()})
+                ech.insert({base[c // low] + c % low * n: x for c, x in row.items()})
         for a in q.arrows_from(lam):
             if not (a.head[0] <= mu[0] and a.head[1] <= mu[1]):
                 continue
-            sub_ech, sub_paths, _ = _ideal_slice(q, a.head, mu)
+            sub_ech, sub_routes = _ideal_slice(q, a.head, mu)
+            base = [pos[(a.direction,) + r] * size + (a.rho - 1) * low for r in sub_routes]
             for row in sub_ech.basis():
-                ech.insert({index[sub_paths[c].extend_right(a)]: x for c, x in row.items()})
-    q._ideal_cache[key] = (ech, paths, index)
+                ech.insert({base[c // low] + c % low: x for c, x in row.items()})
+    q._ideal_cache[key] = (ech, routes)
     return q._ideal_cache[key]
 
 
 def graded_ideal_dim(q: TiltingQuiver, lam, mu) -> int:
     """Dimension of the slice of the relation ideal between two vertices."""
-    ech, _, _ = _ideal_slice(q, lam, mu)
+    ech, _ = _ideal_slice(q, lam, mu)
     return ech.rank
 
 
 def graded_ideal_basis(q: TiltingQuiver, lam, mu) -> tuple[list[dict[int, int]], list[Path]]:
     """Echelon basis vectors (sparse, over path indices) and the path list."""
-    ech, paths, _ = _ideal_slice(q, lam, mu)
-    return ech.basis(), paths
+    ech, _ = _ideal_slice(q, lam, mu)
+    return ech.basis(), enumerate_paths(q, lam, mu)
 
 
 def quotient_dim(q: TiltingQuiver, lam, mu) -> int:

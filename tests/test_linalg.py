@@ -1,5 +1,7 @@
 """Exact matrix arithmetic and sparse fiber elements."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,55 @@ def greedy_pivot_columns(m: RatMatrix) -> list[int]:
             if rank == d:
                 return chosen
     return chosen
+
+
+class ScaleFirstEchelon(linalg.SparseEchelon):
+    """Reference: every reduction step scales the whole vector by the
+    stored pivot before subtracting, whether or not the pivot divides."""
+
+    def insert(self, vec):
+        v = {c: x for c, x in vec.items() if x}
+        while v:
+            p = min(v)
+            row = self.pivot_rows.get(p)
+            if row is None:
+                v = self._normalized(v)
+                if v[p] < 0:
+                    v = {c: -x for c, x in v.items()}
+                self.pivot_rows[p] = v
+                return True
+            a, b = v[p], row[p]
+            v = {c: b * x for c, x in v.items()}
+            for c, x in row.items():
+                s = v.get(c, 0) - a * x
+                if s:
+                    v[c] = s
+                else:
+                    v.pop(c, None)
+        return False
+
+
+def test_sparse_echelon_divide_first_matches_scale_first():
+    rng = random.Random("divide-first")
+    for trial in range(40):
+        cols = rng.randint(2, 12)
+        fast, slow = linalg.SparseEchelon(), ScaleFirstEchelon()
+        for _ in range(rng.randint(1, 30)):
+            support = rng.sample(range(cols), rng.randint(1, min(cols, 4)))
+            # entries from 1, 2, 3, 4, 6, 12 and multiples of 5, so some
+            # pivots divide each other and some do not
+            vec = {c: rng.choice((1, -1)) * rng.choice((1, 2, 3, 4, 6, 12, 5 * rng.randint(1, 9))) for c in support}
+            if rng.random() < 0.2:  # a combination of stored rows
+                rows = list(slow.pivot_rows.values())
+                for row in rng.sample(rows, min(len(rows), 2)):
+                    k = rng.randint(-3, 3)
+                    for c, x in row.items():
+                        vec[c] = vec.get(c, 0) + k * x
+            assert fast.insert(vec) == slow.insert(vec), trial
+        assert fast.pivot_rows == slow.pivot_rows
+        for p, row in fast.pivot_rows.items():
+            assert row[p] > 0 and min(row) == p
+            assert math.gcd(*row.values()) == 1
 
 
 def test_rank_examples():

@@ -1,5 +1,10 @@
 """Quiver structure, relation families, and graded ideal dimensions."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from kq import linalg, quiver
@@ -100,6 +105,22 @@ def test_path_space_guardrail(monkeypatch):
     assert len(enumerate_paths(q, (0, 0), (2, 0))) == 36
 
 
+def test_kernel_report_keeps_the_guardrail(monkeypatch):
+    q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
+    monkeypatch.setenv("KQ_MAX_PATHS", "10")
+    with pytest.raises(PathSpaceTooLargeError, match="36 paths from"):
+        kernel_report(q, (0, 0), (2, 0))
+
+
+def test_verify_kernel_guardrail_exits_2():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, KQ_MAX_PATHS="10", PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "kq.cli", "verify-kernel", "--n", "6", "--lam", "0,0", "--mu", "2,0"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "guardrail" in done.stderr
+
+
 def test_p2_families_n5():
     q = build_quiver(5)
     fams = {(lam, mu): fam for lam, mu, fam in p2_pairs(q)}
@@ -197,6 +218,44 @@ def _direct_ideal_dim(q, lam, mu):
                         vec[i] = vec.get(i, 0) + int(c)
                     ech.insert(vec)
     return ech.rank
+
+
+def _path_keyed_slice(q, lam, mu, cache):
+    """Reference: the ideal slice grown degree by degree over Path
+    objects, each extended path looked up in a Path-keyed index."""
+    if (lam, mu) in cache:
+        return cache[(lam, mu)]
+    paths = enumerate_paths(q, lam, mu)
+    index = {p: i for i, p in enumerate(paths)}
+    ech = SparseEchelon()
+    length = (mu[0] - lam[0]) + (mu[1] - lam[1])
+    if length == 2:
+        for rel in relation_set_for(q, lam, mu):
+            ech.insert({index[p]: int(c) for p, c in rel.terms.items()})
+    elif length > 2:
+        for a in q.arrows_into(mu):
+            if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
+                sub_ech, sub_paths = _path_keyed_slice(q, lam, a.tail, cache)
+                for row in sub_ech.basis():
+                    ech.insert({index[Path(sub_paths[c].arrows + (a,))]: x for c, x in row.items()})
+        for a in q.arrows_from(lam):
+            if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
+                sub_ech, sub_paths = _path_keyed_slice(q, a.head, mu, cache)
+                for row in sub_ech.basis():
+                    ech.insert({index[Path((a,) + sub_paths[c].arrows)]: x for c, x in row.items()})
+    cache[(lam, mu)] = (ech, paths)
+    return ech, paths
+
+
+def test_integer_columns_match_path_keyed_slices():
+    for n in (4, 5):
+        q = TiltingQuiver(n)  # fresh instance, avoids the shared cache
+        reference = {}
+        for lam, mu in containment_pairs(q, 4):
+            expect, paths = _path_keyed_slice(q, lam, mu, reference)
+            ech, routes = quiver._ideal_slice(q, lam, mu)
+            assert ech.pivot_rows == expect.pivot_rows, (n, lam, mu)
+            assert len(routes) * n ** len(routes[0]) == len(paths)
 
 
 def test_lazy_ideal_matches_direct_enumeration_at_degree_three():
