@@ -138,17 +138,13 @@ def f_matrix(k: int, x: Sequence) -> RatMatrix:
     x1 on the diagonal, x2 on the subdiagonal."""
     if k < 1:
         raise ValueError("fiber dimension must be at least 1")
-    x1, x2 = (rat(v) for v in x)
-    zero = Fraction(0)
-    rows = []
-    for u in range(k + 1):
-        row = [zero] * k
-        if u < k:
-            row[u] = x1
-        if u >= 1:
-            row[u - 1] = x2
-        rows.append(row)
-    return RatMatrix(rows)
+    pair = RatMatrix([x])  # the coordinates over the lcm of their denominators
+    (a1, a2), d = pair._n, pair._d
+    ints = [0] * ((k + 1) * k)
+    for u in range(k):
+        ints[u * k + u] = a1
+        ints[(u + 1) * k + u] = a2
+    return RatMatrix._raw(k + 1, k, ints, d)
 
 
 def g_matrix(k: int, x: Sequence) -> RatMatrix:
@@ -157,15 +153,13 @@ def g_matrix(k: int, x: Sequence) -> RatMatrix:
     on the superdiagonal (1-based)."""
     if k < 2:
         raise InvalidRankError("wedge-pairing map needs fiber dimension >= 2")
-    x1, x2 = (rat(v) for v in x)
-    zero = Fraction(0)
-    rows = []
+    pair = RatMatrix([x])  # the coordinates over the lcm of their denominators
+    (a1, a2), d = pair._n, pair._d
+    ints = [0] * ((k - 1) * k)
     for u in range(1, k):
-        row = [zero] * k
-        row[u - 1] = -(k - u) * x2
-        row[u] = u * x1
-        rows.append(row)
-    return RatMatrix(rows)
+        ints[(u - 1) * k + u - 1] = -(k - u) * a2
+        ints[(u - 1) * k + u] = u * a1
+    return RatMatrix._raw(k - 1, k, ints, d)
 
 
 class FiberTensor:
@@ -318,15 +312,19 @@ def sample_point(n: int, seed, bound: int = 9) -> GrPoint:
 
 
 def _step_tables(seq: Sequence[Partition], y: GrPoint, width: int) -> list:
-    """The banded step matrices at an integer point, per staircase step
-    and per column 1..width, as sparse integer rows [(col, value), ...]."""
+    """The banded step matrices at an integer point (ValueError otherwise),
+    per staircase step and per column 1..width, as sparse integer rows
+    [(col, value), ...]."""
     tables = []
     for tau, nxt in zip(seq, seq[1:]):
         make = f_matrix if nxt.part(0) > tau.part(0) else g_matrix
         level = []
         for rho in range(1, width + 1):
             m = make(fiber_dim(tau), y.column(rho))
-            level.append([[(c, int(v)) for c, v in enumerate(m.row(i)) if v] for i in range(m.rows)])
+            if m._d != 1:
+                raise ValueError(f"sample point column {rho} is not integral")
+            e, k = m._n, m.cols
+            level.append([[(c, v) for c, v in enumerate(e[i * k : (i + 1) * k]) if v] for i in range(m.rows)])
         tables.append(level)
     return tables
 

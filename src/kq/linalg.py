@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always in
-lowest terms).  ``RatMatrix`` is an immutable dense matrix of such scalars
-with exact products, inverse, rank and pivot columns.  Products are taken
-over the integers: each operand is scaled once to integer entries over one
-common denominator (the lcm of its entries' denominators, kept on the
-matrix), and one ``Fraction`` is built per output entry.
-``linear_combination`` evaluates a sum of scaled matrix products the same
-way, with a single common denominator for the whole sum.  ``SparseEchelon``
-is the one exact integer eliminator: rank and pivot columns, the graded
-slices of the relation ideal and the exact fallback of the surjectivity
-check all insert integer rows into it.
+lowest terms).  ``RatMatrix`` is an immutable dense matrix that holds one
+exact integer form: a flat row-major tuple of integers over one positive
+common denominator, in lowest terms, so equal matrices have equal forms.
+Products, sums, ``linear_combination``, stacking, rank and pivot columns
+work on the integers alone; ``invert`` is a fraction-free (Bareiss)
+Gauss-Jordan elimination.  ``Fraction`` values are built only on access:
+entries, rows, JSON and repr.  ``SparseEchelon`` is the one exact integer
+eliminator: rank and pivot columns, the graded slices of the relation
+ideal and the exact fallback of the surjectivity check all insert integer
+rows into it.
 ``ModPrimeEchelon`` computes ranks of integer rows modulo the fixed prime
 ``PRIME``: since the rank mod a prime never exceeds the rank over the
 rationals, reaching a known upper bound mod ``PRIME`` certifies the exact
@@ -55,12 +55,14 @@ def rat_to_json(x: Fraction) -> str:
 class RatMatrix:
     """Immutable dense matrix with exact rational entries.
 
-    All operations return fresh matrices; instances are hashable and may be
-    shared freely.  Pivoting during elimination always takes the first
-    nonzero entry in column order, so results are deterministic.
+    The entries are ``_n[i * cols + j] / _d`` with integers ``_n``, a
+    positive integer ``_d`` and ``gcd(_d, *_n) == 1``.  All operations
+    return fresh matrices; instances are hashable and may be shared
+    freely.  Pivoting during elimination always takes the first nonzero
+    entry in column order, so results are deterministic.
     """
 
-    __slots__ = ("_rows", "_cols", "_e", "_ints")
+    __slots__ = ("_rows", "_cols", "_n", "_d")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [tuple(rat(x) for x in row) for row in entries]
@@ -69,31 +71,35 @@ class RatMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
+        flat = [x for row in rows for x in row]
+        # over the lcm of lowest-terms denominators the form is in lowest terms
+        d = lcm(*(x.denominator for x in flat))
         object.__setattr__(self, "_rows", len(rows))
         object.__setattr__(self, "_cols", ncols)
-        object.__setattr__(self, "_e", tuple(x for row in rows for x in row))
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_n", tuple(x.numerator * (d // x.denominator) for x in flat))
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, flat: tuple) -> "RatMatrix":
+    def _raw(cls, rows: int, cols: int, ints: Sequence[int], d: int) -> "RatMatrix":
+        """The matrix ints / d for any d > 0, brought to lowest terms."""
+        g = gcd(d, *ints) if d != 1 else 1
         m = object.__new__(cls)
         object.__setattr__(m, "_rows", rows)
         object.__setattr__(m, "_cols", cols)
-        object.__setattr__(m, "_e", flat)
-        object.__setattr__(m, "_ints", None)
+        object.__setattr__(m, "_n", tuple(x // g for x in ints) if g != 1 else tuple(ints))
+        object.__setattr__(m, "_d", d // g)
         return m
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls._raw(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return cls._raw(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls._raw(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls._raw(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def column(cls, entries: Sequence) -> "RatMatrix":
@@ -106,8 +112,10 @@ class RatMatrix:
         rows = blocks[0].rows
         if any(b.rows != rows for b in blocks):
             raise ValueError("row counts differ")
-        flat = tuple(x for i in range(rows) for b in blocks for x in b.row(i))
-        return cls._raw(rows, sum(b.cols for b in blocks), flat)
+        d = lcm(*(b._d for b in blocks))
+        scaled = [(b._n, b._cols, d // b._d) for b in blocks]
+        flat = tuple(s * x for i in range(rows) for n, c, s in scaled for x in n[i * c : (i + 1) * c])
+        return cls._raw(rows, sum(b.cols for b in blocks), flat, d)
 
     @property
     def rows(self) -> int:
@@ -125,76 +133,66 @@ class RatMatrix:
         i, j = key
         if not (0 <= i < self._rows and 0 <= j < self._cols):
             raise IndexError(key)
-        return self._e[i * self._cols + j]
+        return Fraction(self._n[i * self._cols + j], self._d)
 
     def row(self, i: int) -> tuple:
-        return self._e[i * self._cols : (i + 1) * self._cols]
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._n[i * self._cols : (i + 1) * self._cols])
 
     def take_columns(self, idx: Sequence[int]) -> "RatMatrix":
-        idx, e, c = tuple(idx), self._e, self._cols
+        idx, e, c = tuple(idx), self._n, self._cols
         if any(not 0 <= j < c for j in idx):
             raise IndexError(idx)
-        return RatMatrix._raw(self._rows, len(idx), tuple(e[i * c + j] for i in range(self._rows) for j in idx))
-
-    def _scaled(self) -> tuple[tuple[int, ...], int]:
-        """(ints, den) with self == ints / den entrywise, den the lcm of
-        the entries' denominators; computed once and kept."""
-        if self._ints is None:
-            den = lcm(*(x.denominator for x in self._e))
-            ints = tuple(x.numerator * (den // x.denominator) for x in self._e)
-            object.__setattr__(self, "_ints", (ints, den))
-        return self._ints
+        return RatMatrix._raw(self._rows, len(idx), [e[i * c + j] for i in range(self._rows) for j in idx], self._d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._e == other._e
+        return self.shape == other.shape and self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._cols, self._e))
+        return hash((self._rows, self._cols, self._n, self._d))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_to_json(x) for x in self.row(i)) for i in range(self._rows))
         return f"RatMatrix({self._rows}x{self._cols}: {body})"
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return RatMatrix._raw(self._rows, self._cols, tuple(a + b for a, b in zip(self._e, other._e)))
+        d = lcm(self._d, other._d)
+        sa, sb = d // self._d, d // other._d
+        return RatMatrix._raw(self._rows, self._cols, [sa * a + sb * b for a, b in zip(self._n, other._n)], d)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix._raw(self._rows, self._cols, tuple(c * a for a in self._e))
+        return RatMatrix._raw(self._rows, self._cols, [c.numerator * a for a in self._n], c.denominator * self._d)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self._cols != other._rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        (a, da), (b, db) = self._scaled(), other._scaled()
-        d = da * db
-        prod = _int_product(a, b, self._rows, self._cols, other._cols)
-        return RatMatrix._raw(self._rows, other._cols, tuple(Fraction(x, d) for x in prod))
+        prod = _int_product(self._n, other._n, self._rows, self._cols, other._cols)
+        return RatMatrix._raw(self._rows, other._cols, prod, self._d * other._d)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._raw(self._cols, self._rows, tuple(self._e[j * self._cols + i] for i in range(self._cols) for j in range(self._rows)))
+        e, c, r = self._n, self._cols, self._rows
+        return RatMatrix._raw(c, r, tuple(e[j * c + i] for i in range(c) for j in range(r)), self._d)
 
     def is_zero(self) -> bool:
-        return not any(self._e)
+        return not any(self._n)
 
     def pivot_columns(self) -> list[int]:
         """The leftmost pivot columns: column j is one iff it is not in the
-        span of the columns before it.
-
-        Each row is scaled to integers first (rank-preserving), then the
-        rows are inserted into one SparseEchelon, whose pivots are the
-        pivots of the row space.
-        """
+        span of the columns before it.  These are the pivots of the integer
+        rows in one SparseEchelon."""
         echelon = SparseEchelon()
+        e, c = self._n, self._cols
         for i in range(self._rows):
-            r = self.row(i)
-            den = lcm(*(x.denominator for x in r))
-            echelon.insert({j: int(x * den) for j, x in enumerate(r) if x})
+            echelon.insert({j: x for j, x in enumerate(e[i * c : (i + 1) * c]) if x})
         return sorted(echelon.pivot_rows)
 
     def rank(self) -> int:
@@ -202,24 +200,29 @@ class RatMatrix:
         return len(self.pivot_columns())
 
     def invert(self) -> "RatMatrix":
-        """Exact inverse by Gauss-Jordan elimination of [self | I]; the
-        pivot is the first nonzero entry of its column."""
+        """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination
+        of [A | I], A = d * self: each update divides exactly by the previous
+        pivot, and the pivot is the first nonzero entry of its column.  It
+        ends at [det * I | det * A^{-1}], and self^{-1} = d * A^{-1}.
+        Entries left of the pivot column are not read again, nor updated."""
         if self._rows != self._cols:
             raise SingularMatrixError("only square matrices are invertible")
-        n = self._rows
-        work = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        n, e = self._rows, self._n
+        work = [list(e[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+        prev = 1
         for c in range(n):
             sel = next((i for i in range(c, n) if work[i][c]), None)
             if sel is None:
                 raise SingularMatrixError("matrix is singular")
             work[c], work[sel] = work[sel], work[c]
-            inv = 1 / work[c][c]
-            pivot = work[c] = [x * inv for x in work[c]]
-            for i in range(n):
-                f = work[i][c]
-                if i != c and f:
-                    work[i] = [x - f * y for x, y in zip(work[i], pivot)]
-        return RatMatrix._raw(n, n, tuple(x for row in work for x in row[n:]))
+            p, pivot = work[c][c], work[c][c + 1 :]
+            for i, row in enumerate(work):
+                if i != c:
+                    f = row[c]
+                    row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], pivot)]
+            prev = p
+        d = self._d if prev > 0 else -self._d
+        return RatMatrix._raw(n, n, [d * x for row in work for x in row[n:]], abs(prev))
 
     def to_json(self) -> dict:
         return {
@@ -248,21 +251,19 @@ def linear_combination(rows: int, cols: int, terms: Iterable[tuple[object, Seque
     """The exact rows x cols sum of c * F1 * F2 * ... * Fk over the terms
     (c, (F1, ..., Fk)).
 
-    Every product is taken in integers on the scaled factors, and the sum
-    is formed as integers over the lcm of the terms' denominators, so
-    one Fraction is built per entry of a nonzero sum and none for a zero
-    one.
+    Every product is taken in integers on the integer forms, and the sum
+    is formed as integers over the lcm of the terms' denominators; no
+    Fraction is built.
     """
     scaled = []
     for c, factors in terms:
         c = rat(c)
-        ints, den = factors[0]._scaled()
+        ints, den = factors[0]._n, factors[0]._d
         r, k = factors[0].shape
         for f in factors[1:]:
             if f.rows != k:
                 raise ValueError(f"cannot multiply {(r, k)} by {f.shape}")
-            b, db = f._scaled()
-            ints, den, k = _int_product(ints, b, r, k, f.cols), den * db, f.cols
+            ints, den, k = _int_product(ints, f._n, r, k, f.cols), den * f._d, f.cols
         if (r, k) != (rows, cols):
             raise ValueError(f"term of shape {(r, k)} in a {(rows, cols)} sum")
         scaled.append((c.numerator, c.denominator * den, ints))
@@ -273,7 +274,7 @@ def linear_combination(rows: int, cols: int, terms: Iterable[tuple[object, Seque
         acc = [x + w * y for x, y in zip(acc, ints)]
     if not any(acc):
         return RatMatrix.zeros(rows, cols)
-    return RatMatrix._raw(rows, cols, tuple(Fraction(x, lcd) for x in acc))
+    return RatMatrix._raw(rows, cols, acc, lcd)
 
 
 class SparseEchelon:

@@ -133,6 +133,14 @@ def test_banded_matrices_depend_only_on_fiber_dimension():
         assert section_matrix("g", (2, 0), rho, y) == section_matrix("g", (3, 1), rho, y)
 
 
+def test_step_tables_reject_a_non_integer_point():
+    y = GrPoint(RatMatrix([[1, 0, "1/2", 2], [0, 1, 3, 4]]))
+    seq = staircase((1, 0), (2, 0))
+    assert len(fibers._step_tables(seq, y, 2)[0]) == 2
+    with pytest.raises(ValueError, match="column 3"):
+        fibers._step_tables(seq, y, 4)
+
+
 def test_staircase_route():
     seq = staircase((1, 0), (3, 2))
     assert [p.padded(2) for p in seq] == [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]

@@ -74,6 +74,49 @@ def product_operands(draw, max_dim=6):
     return a, b
 
 
+def fraction_gauss_jordan(m: RatMatrix):
+    """Reference inverse: Gauss-Jordan elimination of [m | I] in
+    Fractions, pivot the first nonzero entry of its column; None when m
+    is singular."""
+    n = m.rows
+    work = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        sel = next((i for i in range(c, n) if work[i][c]), None)
+        if sel is None:
+            return None
+        work[c], work[sel] = work[sel], work[c]
+        inv = 1 / work[c][c]
+        pivot = work[c] = [x * inv for x in work[c]]
+        for i in range(n):
+            f = work[i][c]
+            if i != c and f:
+                work[i] = [x - f * y for x, y in zip(work[i], pivot)]
+    return RatMatrix([row[n:] for row in work])
+
+
+@st.composite
+def square_matrix(draw, max_dim=6):
+    """A square matrix of p/q entries whose first rows may be zero in the
+    leading column (so rows must swap) and whose last row may be a
+    combination of the others (so it is singular)."""
+    n = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(st.lists(product_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(draw(st.integers(0, n))):
+        rows[i][0] = Fraction(0)
+    if n > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), rational), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+    return RatMatrix(rows)
+
+
+def assert_canonical(m: RatMatrix):
+    """m is in lowest terms and equals, and hashes like, the matrix built
+    from its entrywise Fractions."""
+    ref = RatMatrix([[m[i, j] for j in range(m.cols)] for i in range(m.rows)])
+    assert m == ref and hash(m) == hash(ref)
+    assert m._d > 0 and math.gcd(m._d, *m._n) == 1
+
+
 def greedy_pivot_columns(m: RatMatrix) -> list[int]:
     """Greedy leftmost column set carrying an invertible square block:
     column j is taken when it raises the rank of the columns taken so far."""
@@ -154,6 +197,47 @@ def test_invert_examples():
         RatMatrix([[1, 2], [2, 4]]).invert()
 
 
+@settings(max_examples=200, deadline=None)
+@given(square_matrix())
+def test_invert_matches_fraction_gauss_jordan(m):
+    expect = fraction_gauss_jordan(m)
+    assert (expect is None) == (m.rank() < m.rows)
+    if expect is None:
+        with pytest.raises(SingularMatrixError):
+            m.invert()
+    else:
+        assert m.invert() == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands(), st.sets(st.integers(0, 5)), st.one_of(rational, big_rational))
+def test_every_route_gives_the_canonical_form(operands, drop, c):
+    a, b = operands
+    keep = [j for j in range(a.cols) if j not in drop]
+    routes = [a, b, a * b, linear_combination(a.rows, b.cols, [(c, (a, b)), (1, (a * b,))])]
+    routes += [RatMatrix.hstack([a, a * b]), a.take_columns(keep), a.transpose(), a + a, a + a.scale(-1)]
+    routes += [a.scale(c), a.scale(0), a.scale("-1/2")]
+    if a.rows == a.cols and a.rank() == a.rows:
+        routes.append(a.invert())
+    for m in routes:
+        assert_canonical(m)
+
+
+def test_canonical_form_examples():
+    m = RatMatrix([[1, "1/6"], ["1/2", 3]])
+    assert m._d == 6
+    assert m.take_columns([0])._d == 2  # the only sixth is dropped
+    assert_canonical(m.take_columns([0]))
+    for zero in (m + m.scale(-1), m.scale(0), linear_combination(2, 2, [(1, (m,)), (-1, (m,))])):
+        assert zero == RatMatrix.zeros(2, 2) and zero._d == 1
+    assert m.scale("-1/2") == RatMatrix([["-1/2", "-1/12"], ["-1/4", "-3/2"]])
+
+
+def test_add_rejects_a_non_matrix():
+    with pytest.raises(TypeError):
+        RatMatrix.identity(2) + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_matrix_strategy(entries=rational))
 def test_rank_transpose_invariant(m):
@@ -180,7 +264,6 @@ def test_product_matches_schoolbook_fractions(operands):
     ab = a * b
     assert ab.shape == (a.rows, b.cols)
     assert ab == RatMatrix(schoolbook_product(a, b))
-    # a second product reuses the scaled forms kept on a and b
     assert a * b == ab
 
 
