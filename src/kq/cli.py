@@ -197,6 +197,8 @@ def cmd_verify_kernel(args) -> tuple[dict, bool]:
 
 
 def cmd_verify_surjectivity(args) -> tuple[dict, bool]:
+    if args.samples < 0:
+        raise InputError("--samples must be at least 0")
     pairs = _selected_pairs(qv.build_quiver(args.n), args)
     return _pair_reports(
         [fibers.surjectivity_rank(args.n, lam, mu, args.samples, args.seed) for lam, mu in pairs]

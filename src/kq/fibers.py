@@ -94,6 +94,14 @@ class GrPoint:
             raise IndexError(rho)
         return (self.matrix[0, rho - 1], self.matrix[1, rho - 1])
 
+    def column_ints(self, rho: int) -> tuple[int, int]:
+        """Column rho (1-based) over the matrix's common denominator: the
+        integers (a1, a2) with column(rho) == (a1 / d, a2 / d)."""
+        if not (1 <= rho <= self.n):
+            raise IndexError(rho)
+        e = self.matrix._n
+        return (e[rho - 1], e[self.n + rho - 1])
+
     def __eq__(self, other) -> bool:
         if isinstance(other, GrPoint):
             return self.matrix == other.matrix
@@ -132,34 +140,48 @@ def reduce_point(m: RatMatrix) -> GrPoint:
     return GrPoint(block.invert() * m)
 
 
+def _banded(k: int, horizontal: bool, a1: int, a2: int, d: int) -> RatMatrix:
+    """The matrix of f_matrix (horizontal) or g_matrix for the section
+    with coordinates (a1 / d, a2 / d), built from the integers."""
+    if horizontal:
+        if k < 1:
+            raise ValueError("fiber dimension must be at least 1")
+        ints = [0] * ((k + 1) * k)
+        for u in range(k):
+            ints[u * k + u] = a1
+            ints[(u + 1) * k + u] = a2
+        return RatMatrix._raw(k + 1, k, ints, d)
+    if k < 2:
+        raise InvalidRankError("wedge-pairing map needs fiber dimension >= 2")
+    ints = [0] * ((k - 1) * k)
+    for u in range(1, k):
+        ints[(u - 1) * k + u - 1] = -(k - u) * a2
+        ints[(u - 1) * k + u] = u * a1
+    return RatMatrix._raw(k - 1, k, ints, d)
+
+
 def f_matrix(k: int, x: Sequence) -> RatMatrix:
     """The (k+1) x k matrix of the symmetric-append map on a fiber of
     dimension k, for a section with coordinates x = (x1, x2):
     x1 on the diagonal, x2 on the subdiagonal."""
-    if k < 1:
-        raise ValueError("fiber dimension must be at least 1")
     pair = RatMatrix([x])  # the coordinates over the lcm of their denominators
-    (a1, a2), d = pair._n, pair._d
-    ints = [0] * ((k + 1) * k)
-    for u in range(k):
-        ints[u * k + u] = a1
-        ints[(u + 1) * k + u] = a2
-    return RatMatrix._raw(k + 1, k, ints, d)
+    return _banded(k, True, *pair._n, pair._d)
 
 
 def g_matrix(k: int, x: Sequence) -> RatMatrix:
     """The (k-1) x k matrix of the wedge-pairing map on a fiber of
     dimension k >= 2: row u carries -(k-u) x2 on the diagonal and u x1
     on the superdiagonal (1-based)."""
-    if k < 2:
-        raise InvalidRankError("wedge-pairing map needs fiber dimension >= 2")
     pair = RatMatrix([x])  # the coordinates over the lcm of their denominators
-    (a1, a2), d = pair._n, pair._d
-    ints = [0] * ((k - 1) * k)
-    for u in range(1, k):
-        ints[(u - 1) * k + u - 1] = -(k - u) * a2
-        ints[(u - 1) * k + u] = u * a1
-    return RatMatrix._raw(k - 1, k, ints, d)
+    return _banded(k, False, *pair._n, pair._d)
+
+
+def step_matrix(y: GrPoint, k: int, horizontal: bool, rho: int) -> RatMatrix:
+    """f_matrix(k, y.column(rho)) if horizontal, else g_matrix(k,
+    y.column(rho)), read off the point's integer form over its
+    denominator with no Fraction built."""
+    a1, a2 = y.column_ints(rho)
+    return _banded(k, horizontal, a1, a2, y.matrix._d)
 
 
 class FiberTensor:
@@ -292,10 +314,7 @@ def theta_compose(lam, mu, word: Sequence[int], y: GrPoint) -> RatMatrix:
         raise BadWordLengthError(f"need {len(seq) - 1} columns, got {len(word)}")
     result = RatMatrix.identity(fiber_dim(lam))
     for tau, nxt, rho in zip(seq, seq[1:], word):
-        k = fiber_dim(tau)
-        x = y.column(rho)
-        step = f_matrix(k, x) if nxt.part(0) > tau.part(0) else g_matrix(k, x)
-        result = step * result
+        result = step_matrix(y, fiber_dim(tau), nxt.part(0) > tau.part(0), rho) * result
     return result
 
 
@@ -315,14 +334,18 @@ def _step_tables(seq: Sequence[Partition], y: GrPoint, width: int) -> list:
     """The banded step matrices at an integer point (ValueError otherwise),
     per staircase step and per column 1..width, as sparse integer rows
     [(col, value), ...]."""
+    d = y.matrix._d
+    columns = []
+    for rho in range(1, width + 1):
+        a1, a2 = y.column_ints(rho)
+        if a1 % d or a2 % d:
+            raise ValueError(f"sample point column {rho} is not integral")
+        columns.append((a1 // d, a2 // d))
     tables = []
     for tau, nxt in zip(seq, seq[1:]):
-        make = f_matrix if nxt.part(0) > tau.part(0) else g_matrix
         level = []
-        for rho in range(1, width + 1):
-            m = make(fiber_dim(tau), y.column(rho))
-            if m._d != 1:
-                raise ValueError(f"sample point column {rho} is not integral")
+        for a1, a2 in columns:
+            m = _banded(fiber_dim(tau), nxt.part(0) > tau.part(0), a1, a2, 1)
             e, k = m._n, m.cols
             level.append([[(c, v) for c, v in enumerate(e[i * k : (i + 1) * k]) if v] for i in range(m.rows)])
         tables.append(level)

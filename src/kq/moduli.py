@@ -23,11 +23,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
+from types import MappingProxyType
 from typing import Mapping
 
-from .fibers import GrPoint, f_matrix, g_matrix, reduce_point
+# f_matrix and g_matrix stay bound here, where the benchmark tracer of
+# kqbench/ looks them up, though embed builds its matrices by step_matrix.
+from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, step_matrix  # noqa: F401
 from .linalg import RatMatrix, SingularMatrixError, linear_combination
-from .quiver import Arrow, Path, RelationElement, build_quiver, relation_sets
+from .quiver import Arrow, Path, RelationElement, TiltingQuiver, build_quiver, relation_arrow_terms, relation_sets
 
 SOURCE = (0, 0)
 
@@ -54,7 +60,10 @@ class SourceVertexError(ValueError):
 
 
 class QuiverRep:
-    """Matrices on every arrow of the tilting quiver for Gr(n,2)."""
+    """Matrices on every arrow of the tilting quiver for Gr(n,2).
+
+    `matrices` is a read-only mapping, so the packed arrow rows that
+    evaluate_relation caches on the representation cannot go stale."""
 
     def __init__(self, n: int, matrices: Mapping[Arrow, RatMatrix]):
         q = build_quiver(n)
@@ -73,7 +82,8 @@ class QuiverRep:
             raise ValueError(f"matrix for {extra[0]}, which is not an arrow of the quiver")
         self.n = n
         self.quiver = q
-        self.matrices = mats
+        self.matrices = MappingProxyType(mats)
+        self._packed = None  # see _packed_arrows
 
     def matrix(self, a: Arrow) -> RatMatrix:
         return self.matrices[a]
@@ -218,9 +228,7 @@ def embed(y: GrPoint) -> QuiverRep:
     q = build_quiver(y.n)
     mats = {}
     for a in q.arrows:
-        k = q.vertex_dim(a.tail)
-        x = y.column(a.rho)
-        mats[a] = f_matrix(k, x) if a.direction == 1 else g_matrix(k, x)
+        mats[a] = step_matrix(y, q.vertex_dim(a.tail), a.direction == 1, a.rho)
     return QuiverRep(y.n, mats)
 
 
@@ -253,23 +261,100 @@ def check_stability(rep: QuiverRep) -> StabilityReport:
     return StabilityReport(tuple(entries), all(e.ok for e in entries))
 
 
+_zeros = lru_cache(maxsize=None)(RatMatrix.zeros)  # immutable, so one per shape
+
+
+@lru_cache(maxsize=None)
+def _relation_bound(q: TiltingQuiver) -> tuple[int, int]:
+    """Over the relations of relation_arrow_terms: the largest sum of
+    |coefficient| * (dim of the vertex the path passes) over a relation's
+    terms, and the largest number of terms."""
+    weight = most_terms = 0
+    for compiled in relation_arrow_terms(q).values():
+        terms = compiled[2:]
+        middle = (q.vertex_dim(q.arrows[first].head) for first in terms[1::3])
+        weight = max(weight, sum(abs(c) * k for c, k in zip(terms[::3], middle)))
+        most_terms = max(most_terms, len(terms) // 3)
+    return weight, most_terms
+
+
+def _packed_arrows(rep: QuiverRep) -> tuple[list[int], list[list[tuple[int, ...]]], list[list[int]]]:
+    """Per arrow, in quiver order: its denominator, its integer rows, and
+    each integer row packed into one integer, entry j at bit j * s.  Built
+    once per representation.
+
+    The width s bounds every relation residual.  Take a relation with
+    terms c_t * A_t * B_t, A_t and B_t the matrices of the path's second
+    and first arrows over the denominators dA_t and dB_t, and
+    D = lcm_t(dA_t * dB_t).  D times its residual is
+    sum_t c_t * (D / (dA_t * dB_t)) * A_t * B_t on the integer forms;
+    D / (dA_t * dB_t) divides the product of the other terms'
+    denominators, and an entry of A_t * B_t is a sum of k_t products, k_t
+    the dim of the vertex between the two arrows.  With every integer
+    entry at most N and every denominator at most d, and W, T the
+    _relation_bound, each entry of D times a residual is therefore at most
+    U = W * N**2 * d**(2 * (T - 1)) in size; s is the bit length of U, so
+    2**s > U.
+    """
+    if rep._packed is None:
+        weight, most_terms = _relation_bound(rep.quiver)
+        mats = [rep.matrices[a] for a in rep.quiver.arrows]
+        top = max(max(map(abs, m._n)) for m in mats)
+        den = max(m._d for m in mats)
+        s = max(1, (weight * top * top * den ** (2 * most_terms - 2)).bit_length())
+        dens, rows, packed = [], [], []
+        for m in mats:
+            e, c = m._n, m.cols
+            mrows = [e[i * c : (i + 1) * c] for i in range(m.rows)]
+            dens.append(m._d)
+            rows.append(mrows)
+            packed.append([sum(x << (j * s) for j, x in enumerate(r)) for r in mrows])
+        rep._packed = (dens, rows, packed)
+    return rep._packed
+
+
 def evaluate_relation(rep: QuiverRep, rel: RelationElement) -> RatMatrix:
     """The matrix value of a relation element on the representation,
-    summed in integers over one common denominator."""
-    d_head = rep.quiver.vertex_dim(rel.head)
-    d_tail = rep.quiver.vertex_dim(rel.tail)
-    mats = rep.matrices
-    terms = [(c, [mats[a] for a in reversed(p.arrows)]) for p, c in rel.terms.items()]
+    summed in integers over one common denominator.
+
+    A relation of relation_sets is first tested for zero one residual
+    row at a time: row i of D times the residual (see _packed_arrows),
+    packed like the arrow rows, is sum_t w_t * sum_k A_t[i][k] * b_k with
+    w_t = c_t * D / (dA_t dB_t) and b_k the packed rows of B_t.  Every
+    entry x_j of the row has |x_j| < 2**s, so the packed value
+    sum_j x_j 2**(j*s) is 0 only if x_0 is a multiple of 2**s, that is
+    0, and so on up the row: one integer comparison per row is exact.
+    A nonzero residual is then formed by linear_combination."""
+    compiled = relation_arrow_terms(rep.quiver).get(rel)
+    if compiled is not None:
+        d_head, d_tail = compiled[0], compiled[1]
+        terms = list(zip(compiled[2::3], compiled[3::3], compiled[4::3]))
+        dens, rows, packed = _packed_arrows(rep)
+        deltas = [dens[first] * dens[second] for _, first, second in terms]
+        common = lcm(*deltas)
+        acc = [0] * d_head
+        for (c, first, second), delta in zip(terms, deltas):
+            w, b = c * (common // delta), packed[first]
+            acc = [x + w * sum(map(mul, r, b)) for x, r in zip(acc, rows[second])]
+        if not any(acc):
+            return _zeros(d_head, d_tail)
+    else:
+        d_head = rep.quiver.vertex_dim(rel.head)
+        d_tail = rep.quiver.vertex_dim(rel.tail)
+    terms = [(c, [rep.matrices[a] for a in reversed(p.arrows)]) for p, c in rel.terms.items()]
     return linear_combination(d_head, d_tail, terms)
 
 
 def check_relations(rep: QuiverRep) -> list[RelationViolation]:
-    """Evaluate every relation family; return the nonzero residuals."""
+    """Evaluate every relation family; return the nonzero residuals.  The
+    packed rows that evaluate_relation caches are dropped afterwards, so a
+    representation kept after its check does not hold them."""
     out = []
     for rel in relation_sets(rep.quiver):
         residual = evaluate_relation(rep, rel)
         if not residual.is_zero():
             out.append(RelationViolation(rel, residual))
+    rep._packed = None
     return out
 
 

@@ -190,6 +190,7 @@ class TiltingQuiver:
             self._in[a.head].append(a)
         self._ideal_cache: dict = {}
         self._relations: list[RelationElement] | None = None
+        self._relation_terms: dict | None = None
 
     def arrows_from(self, v) -> list[Arrow]:
         return self._out[tuple(v)]
@@ -291,12 +292,36 @@ def relation_set_for(q: TiltingQuiver, lam, mu) -> list[RelationElement]:
     return out
 
 
+def _relation_list(q: TiltingQuiver) -> list[RelationElement]:
+    if q._relations is None:
+        q._relations = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
+    return q._relations
+
+
 def relation_sets(q: TiltingQuiver) -> list[RelationElement]:
     """All degree-two relation basis elements of the quiver, built once
     per quiver; each call returns a fresh list."""
-    if q._relations is None:
-        q._relations = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
-    return list(q._relations)
+    return list(_relation_list(q))
+
+
+def relation_arrow_terms(q: TiltingQuiver) -> dict[RelationElement, tuple[int, ...]]:
+    """Every relation that relation_sets lists, keyed by the element
+    itself, as one flat tuple: the dims at its head and at its tail, then
+    per term its integer coefficient and the indices in q.arrows of the
+    path's first and second arrows.  Built once per quiver, without a
+    relation_sets call."""
+    if q._relation_terms is None:
+        index = {a: k for k, a in enumerate(q.arrows)}
+        compiled = {}
+        for rel in _relation_list(q):
+            flat = [q.vertex_dim(rel.head), q.vertex_dim(rel.tail)]
+            for p, c in rel.terms.items():
+                assert c.denominator == 1
+                first, second = p.arrows
+                flat += (int(c), index[first], index[second])
+            compiled[rel] = tuple(flat)
+        q._relation_terms = compiled
+    return q._relation_terms
 
 
 def enumerate_routes(q: TiltingQuiver, lam, mu) -> list[tuple[int, ...]]:

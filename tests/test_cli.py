@@ -179,6 +179,7 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
         ("verify-kernel", "--n", "4", "--max-degree", "-1"),
         ("verify-surjectivity", "--n", "4", "--max-degree", "0"),
         ("roundtrip", "--n", "4", "--trials", "-1"),
+        ("verify-surjectivity", "--n", "4", "--max-degree", "2", "--samples", "-3"),
     ):
         code, _ = invoke(capsys, *empty_sweep)
         assert code == 2, empty_sweep

@@ -22,6 +22,7 @@ from kq.fibers import (
     section_apply,
     section_matrix,
     staircase,
+    step_matrix,
     surjectivity_rank,
     theta_compose,
 )
@@ -121,9 +122,9 @@ def test_section_matrix_is_oracle_for_banded_constructors():
                     for rho in range(1, n + 1):
                         x = y.column(rho)
                         if lam[0] + 1 <= n - 2:
-                            assert section_matrix("f", lam, rho, y) == f_matrix(k, x)
+                            assert section_matrix("f", lam, rho, y) == f_matrix(k, x) == step_matrix(y, k, True, rho)
                         if lam[1] + 1 <= lam[0]:
-                            assert section_matrix("g", lam, rho, y) == g_matrix(k, x)
+                            assert section_matrix("g", lam, rho, y) == g_matrix(k, x) == step_matrix(y, k, False, rho)
 
 
 def test_banded_matrices_depend_only_on_fiber_dimension():

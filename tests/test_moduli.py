@@ -1,13 +1,16 @@
 """Embedding, stability, gauge action, and reconstruction."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kq import moduli
+from kq import moduli, quiver
 from kq.fibers import reduce_point
-from kq.linalg import RatMatrix
+from kq.linalg import RatMatrix, linear_combination
 from kq.moduli import (
     GaugeElement,
     NotInImageError,
@@ -26,7 +29,7 @@ from kq.moduli import (
     reconstruct,
     scramble,
 )
-from kq.quiver import build_quiver, relation_sets
+from kq.quiver import TiltingQuiver, build_quiver, relation_sets
 
 
 def canonical_point(x1, x2, x3, x4):
@@ -141,6 +144,238 @@ def test_integer_relation_check_matches_fraction_oracle(n):
             assert evaluate_relation(bad, rel) == r
         assert any(r[i, j].denominator > 1 for _, r in expect for i in range(r.rows) for j in range(r.cols))
         assert [(v.relation, v.residual) for v in check_relations(bad)] == expect
+
+
+def combination_residual(rep: QuiverRep, rel) -> RatMatrix:
+    """Reference value of a relation: linear_combination of its path
+    matrices, with no packed zero test in front."""
+    q = rep.quiver
+    terms = [(c, [rep.matrices[a] for a in reversed(p.arrows)]) for p, c in rel.terms.items()]
+    return linear_combination(q.vertex_dim(rel.head), q.vertex_dim(rel.tail), terms)
+
+
+def assert_relations_match_oracle(rep: QuiverRep) -> None:
+    expect = []
+    for rel in relation_sets(rep.quiver):
+        r = combination_residual(rep, rel)
+        assert evaluate_relation(rep, rel) == r, rel
+        if not r.is_zero():
+            expect.append((rel, r))
+    assert [(v.relation, v.residual) for v in check_relations(rep)] == expect
+
+
+def arrow_shape(q, a) -> tuple[int, int]:
+    k = q.vertex_dim(a.tail)
+    return (k + 1, k) if a.direction == 1 else (k - 1, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([4, 5]),
+    st.integers(1, 220),
+    st.sampled_from(["random", "embedded", "perturbed"]),
+    st.integers(0, 2**32),
+)
+def test_packed_relation_check_matches_linear_combination(n, bits, kind, seed):
+    """On representations with numerators and denominators of up to
+    `bits` bits, evaluate_relation and check_relations agree with the
+    plain linear_combination residual: random matrices (nonzero
+    residuals), scrambled embeddings of a point with such entries (zero
+    residuals), and those with one entry moved (both)."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+    q = build_quiver(n)
+    if kind == "random":
+        shapes = {a: arrow_shape(q, a) for a in q.arrows}
+        mats = {a: RatMatrix([[entry() for _ in range(c)] for _ in range(r)]) for a, (r, c) in shapes.items()}
+        rep = QuiverRep(n, mats)
+    else:
+        point = reduce_point(RatMatrix([[entry() for _ in range(n)] for _ in range(2)]))
+        rep = scramble(embed(point), random_gauge(n, seed))
+        if kind == "perturbed":
+            a = rng.choice(q.arrows)
+            m = rep.matrices[a]
+            rows = [list(m.row(i)) for i in range(m.rows)]
+            rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += entry() or 1
+            rep = QuiverRep(n, {**rep.matrices, a: RatMatrix(rows)})
+    assert_relations_match_oracle(rep)
+
+
+def square_relation_rep(m: int, top: int, sign: int) -> tuple[QuiverRep, object]:
+    """An n=4 integer representation, every entry at most N = 2**m in size,
+    on which the square relation (1, 2) at (1, 0) has the residual row
+    [sign * 2**top * N**2, -sign] and a zero second row; top is 1 or 2.
+
+    Packed into slots of w bits that row is 0 when 2**w = 2**top * N**2,
+    so the relation is reported only if the slots are wide enough."""
+    q = build_quiver(4)
+    rel = next(r for r in relation_sets(q) if r.family == "square" and r.tail == (1, 0) and r.indices == (1, 2))
+    big = 2**m
+    mats = {a: RatMatrix.zeros(*arrow_shape(q, a)) for a in q.arrows}
+
+    def put(tail, direction, rho, rows):
+        mats[q.arrow(tail, direction, rho)] = RatMatrix(rows)
+
+    # 1 * g2(2,0) f1(1,0): the row (N, N-1, N) times the columns b and (-1, 1, 0)
+    put((2, 0), 2, 2, [[sign * big, sign * (big - 1), sign * big], [0, 0, 0]])
+    b = (big, big, big) if top == 2 else (big, big, 0)
+    put((1, 0), 1, 1, [[b[0], -1], [b[1], 1], [b[2], 0]])
+    # -2 * f1(1,1) g2(1,0) adds N**2 to the first entry when top == 2
+    put((1, 1), 1, 1, [[sign * big // 2 if top == 2 else 0], [0]])
+    put((1, 0), 2, 2, [[-big, 0]])
+    # 1 * f2(1,1) g1(1,0) adds N
+    put((1, 1), 1, 2, [[sign * big], [0]])
+    put((1, 0), 2, 1, [[1, 0]])
+    return QuiverRep(4, mats), rel
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 110), st.sampled_from([1, 2]), st.sampled_from([1, -1]))
+def test_packed_zero_test_separates_a_unit_from_a_full_slot(m, top, sign):
+    """A residual row [2**w, -1] packs to 0 in slots of w bits; the
+    relation must still be reported, with the linear_combination value."""
+    rep, rel = square_relation_rep(m, top, sign)
+    big = 2**m
+    residual = evaluate_relation(rep, rel)
+    assert residual == RatMatrix([[sign * 2**top * big * big, -sign], [0, 0]])
+    assert residual == combination_residual(rep, rel)
+    assert_relations_match_oracle(rep)
+
+
+def primes_above(start: int, count: int) -> list[int]:
+    out, p = [], start
+    while len(out) < count:
+        p += 1
+        if all(p % f for f in range(2, math.isqrt(p) + 1)):
+            out.append(p)
+    return out
+
+
+def coprime_square_rep(dens: list[int], big: int, x0: int, x1: int) -> tuple[QuiverRep, object, int]:
+    """An n=4 representation on which the square relation (1, 2) at (1, 0)
+    has the residual rows [x0 / D, x1 / D] and [0, 0]: the left and right
+    factors of its three terms carry the six pairwise coprime
+    denominators `dens`, D is their product and every numerator is at
+    most `big` in size.  With w_t = c_t * D / (dA_t dB_t), x = sum_t w_t y_t
+    is solved with y_2, y_3 residues and y_1 the quotient."""
+    q = build_quiver(4)
+    rel = next(r for r in relation_sets(q) if r.family == "square" and r.tail == (1, 0) and r.indices == (1, 2))
+    deltas = [dens[0] * dens[1], dens[2] * dens[3], dens[4] * dens[5]]
+    common = math.prod(deltas)
+    w = [c * common // delta for c, delta in zip((1, -2, 1), deltas)]
+
+    def solve(x):
+        r2 = x * pow(w[1], -1, deltas[1]) % deltas[1]
+        r3 = x * pow(w[2], -1, deltas[2]) % deltas[2]
+        y1, rest = divmod(x - w[1] * r2 - w[2] * r3, w[0])
+        assert rest == 0
+        return y1, r2, r3
+
+    (y1, q2, q3), (z1, q2x, q3x) = solve(x0), solve(x1)
+    h, b2 = divmod(y1, big)  # y1 = big * (b0 + b1) + b2
+    b0 = h // 2
+    entries = [b0, h - b0, b2, z1, q2, q3, q2x, q3x]
+    assert max(map(abs, entries)) <= big, "target out of reach"
+    mats = {a: RatMatrix.zeros(*arrow_shape(q, a)) for a in q.arrows}
+
+    def put(tail, direction, rho, rows, d):
+        mats[q.arrow(tail, direction, rho)] = RatMatrix([[Fraction(x, d) for x in row] for row in rows])
+
+    put((2, 0), 2, 2, [[big, big, 1], [0, 0, 0]], dens[0])
+    put((1, 0), 1, 1, [[b0, 0], [h - b0, 0], [b2, z1]], dens[1])
+    put((1, 1), 1, 1, [[1], [0]], dens[2])
+    put((1, 0), 2, 2, [[q2, q2x]], dens[3])
+    put((1, 1), 1, 2, [[1], [0]], dens[4])
+    put((1, 0), 2, 1, [[q3, q3x]], dens[5])
+    return QuiverRep(4, mats), rel, common
+
+
+@pytest.mark.parametrize("dbits, nbits", [(4, 12), (12, 30), (30, 64)])
+def test_packed_zero_test_separates_a_unit_from_any_lower_slot(dbits, nbits):
+    """Residual rows [2**k / D, -1 / D] over six pairwise coprime
+    denominators near 2**dbits, for every k within reach of numerators
+    below 2**nbits: the row packs to 0 in slots of k bits, so the test
+    fails for any slot width the rep's denominators could still fill."""
+    dens = primes_above(2**dbits, 6)
+    big = 2**nbits
+    reach = (big * big * dens[2] * dens[3] * dens[4] * dens[5]).bit_length()
+    for k in range(1, reach):
+        for sign in (1, -1):
+            rep, rel, common = coprime_square_rep(dens, big, sign * 2**k, -sign)
+            expect = RatMatrix([[Fraction(sign * 2**k, common), Fraction(-sign, common)], [0, 0]])
+            assert evaluate_relation(rep, rel) == expect == combination_residual(rep, rel), (k, sign)
+
+
+def coprime_pair(rng: random.Random, bits: int) -> tuple[int, int]:
+    """Coprime p > q > 0 with p < 2q, so p // q == 1."""
+    while True:
+        q = rng.randint(2 ** (bits - 1), 2**bits)
+        p = q + rng.randint(1, q - 1)
+        if math.gcd(p, q) == 1:
+            return p, q
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bits", [2, 200])
+def test_packed_zero_test_weighs_every_denominator(side, bits):
+    """The two paths of an ff relation with equal integer products over
+    the coprime denominators p and q leave the residual M v (1/p - 1/q):
+    weighing the terms by anything but the common denominator over
+    their own makes it vanish for one of the two orders of p and q."""
+    rng = random.Random(f"denominators:{side}:{bits}")
+    q = build_quiver(4)
+    rel = next(r for r in relation_sets(q) if r.family == "ff" and r.indices == (1, 2))
+    outer = [[rng.randint(1, 2**bits) for _ in range(2)] for _ in range(3)]
+    inner = [[rng.randint(1, 2**bits)], [rng.randint(1, 2**bits)]]
+    p, r = coprime_pair(rng, bits) if bits > 2 else (3, 2)
+    for dens in ((p, r), (r, p)):
+        mats = {a: RatMatrix.zeros(*arrow_shape(q, a)) for a in q.arrows}
+        for rho, d in zip((1, 2), dens):
+            left = [[Fraction(x, d if side == "left" else 1) for x in row] for row in outer]
+            right = [[Fraction(x, d if side == "right" else 1) for x in row] for row in inner]
+            mats[q.arrow((1, 0), 1, 3 - rho)] = RatMatrix(left)  # second arrow of the path starting with f_rho
+            mats[q.arrow((0, 0), 1, rho)] = RatMatrix(right)
+        rep = QuiverRep(4, mats)
+        residual = combination_residual(rep, rel)
+        assert not residual.is_zero()
+        assert evaluate_relation(rep, rel) == residual
+        assert_relations_match_oracle(rep)
+
+
+def test_rep_matrices_are_read_only():
+    rep = embed(random_point(4, "frozen"))
+    a = rep.quiver.arrows[0]
+    with pytest.raises(TypeError):
+        rep.matrices[a] = RatMatrix.zeros(*rep.matrices[a].shape)
+
+
+def test_one_check_evaluates_each_relation_once_from_one_relation_sets_call(monkeypatch):
+    """kqbench/test_bench.py counts relation_sets and evaluate_relation calls
+    under its tracer; on a quiver with nothing cached, one check_relations
+    makes one relation_sets call and one evaluate_relation call per relation."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    relations = len(relation_sets(build_quiver(5)))
+    mats = scramble(embed(random_point(5, "pins")), random_gauge(5, "pins")).matrices
+    fresh = TiltingQuiver(5)
+    monkeypatch.setattr(moduli, "build_quiver", lambda n: fresh)
+    rep = QuiverRep(5, mats)
+    assert rep.quiver is fresh
+    for module in (moduli, quiver):
+        monkeypatch.setattr(module, "relation_sets", counted("relation_sets", quiver.relation_sets))
+    monkeypatch.setattr(moduli, "evaluate_relation", counted("evaluate_relation", moduli.evaluate_relation))
+    assert check_relations(rep) == []
+    assert calls == {"relation_sets": 1, "evaluate_relation": relations}
 
 
 def test_scramble_group_action():
