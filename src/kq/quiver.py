@@ -15,15 +15,21 @@ word, where the route is the direction string of the walk and the word
 is the base-n number of the column indices minus one, the tail arrow's
 digit most significant.  Extending a row of a shorter slice by an arrow
 at the head or at the tail then maps its columns by integer arithmetic.
+Only the slice under construction is a live SparseEchelon; a finished
+slice is cached packed (IdealSlice): its rank, and its basis rows in
+pivot order as one array('q') of columns, one flat tuple of exact int
+coefficients and one array('q') of row ends.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import accumulate, chain, islice
+from typing import Iterable, Mapping, NamedTuple
 
 from .linalg import SparseEchelon, rat, rat_to_json
 from .tableaux import Partition, hom_dim
@@ -384,16 +390,31 @@ def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
     return out
 
 
-def _ideal_slice(q: TiltingQuiver, lam, mu) -> tuple[SparseEchelon, list[tuple[int, ...]]]:
-    """Echelon basis of the graded slice of the relation ideal between
-    two vertices, over the path columns of the module docstring, and
-    the routes lam -> mu.
+class IdealSlice(NamedTuple):
+    """A finished graded slice of the relation ideal, packed: its rank,
+    the routes lam -> mu, and its echelon basis rows in pivot order.
+    Row k has the columns cols[start:ends[k]] and the exact coefficients
+    vals[start:ends[k]], where start is ends[k - 1], or 0 for k = 0."""
+
+    rank: int
+    routes: list[tuple[int, ...]]
+    cols: array
+    vals: tuple[int, ...]
+    ends: array
+
+
+def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
+    """The graded slice of the relation ideal between two vertices, over
+    the path columns of the module docstring.
 
     Built lazily by degree: the degree-two slices are the relation
     bases themselves; longer slices are spanned by lower slices extended
     by a single arrow at the head (column r * n**(L-1) + w goes to
     pos[route_r + (dir,)] * n**L + w * n + rho - 1) or at the tail (to
-    pos[(dir,) + route_r] * n**L + (rho - 1) * n**(L-1) + w).
+    pos[(dir,) + route_r] * n**L + (rho - 1) * n**(L-1) + w).  A slice
+    is eliminated in a SparseEchelon, but cached packed: the columns in
+    one array('q') (the path-space guardrail bounds them by the slice's
+    path count), the coefficients in one flat tuple of ints.
     """
     lam, mu = tuple(lam), tuple(mu)
     key = (lam, mu)
@@ -417,34 +438,36 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> tuple[SparseEchelon, list[tuple[i
             ech.insert(vec)
     elif length > 2:
         low = size // n
+        extensions = []  # (sub-slice, base of each sub-route, column scale)
         for a in q.arrows_into(mu):
-            if not (lam[0] <= a.tail[0] and lam[1] <= a.tail[1]):
-                continue
-            sub_ech, sub_routes = _ideal_slice(q, lam, a.tail)
-            base = [pos[r + (a.direction,)] * size + a.rho - 1 for r in sub_routes]
-            for row in sub_ech.basis():
-                ech.insert({base[c // low] + c % low * n: x for c, x in row.items()})
+            if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
+                sub = _ideal_slice(q, lam, a.tail)
+                extensions.append((sub, [pos[r + (a.direction,)] * size + a.rho - 1 for r in sub.routes], n))
         for a in q.arrows_from(lam):
-            if not (a.head[0] <= mu[0] and a.head[1] <= mu[1]):
-                continue
-            sub_ech, sub_routes = _ideal_slice(q, a.head, mu)
-            base = [pos[(a.direction,) + r] * size + (a.rho - 1) * low for r in sub_routes]
-            for row in sub_ech.basis():
-                ech.insert({base[c // low] + c % low: x for c, x in row.items()})
-    q._ideal_cache[key] = (ech, routes)
+            if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
+                sub = _ideal_slice(q, a.head, mu)
+                extensions.append((sub, [pos[(a.direction,) + r] * size + (a.rho - 1) * low for r in sub.routes], 1))
+        for sub, base, scale in extensions:
+            # every column is mapped once; each row takes its run of pairs
+            terms = zip([base[c // low] + c % low * scale for c in sub.cols], sub.vals)
+            start = 0
+            for end in sub.ends:
+                ech.insert(dict(islice(terms, end - start)))
+                start = end
+    rows = ech.basis()
+    q._ideal_cache[key] = IdealSlice(
+        ech.rank,
+        routes,
+        array("q", chain.from_iterable(rows)),
+        tuple(chain.from_iterable(map(dict.values, rows))),
+        array("q", accumulate(map(len, rows))),
+    )
     return q._ideal_cache[key]
 
 
 def graded_ideal_dim(q: TiltingQuiver, lam, mu) -> int:
     """Dimension of the slice of the relation ideal between two vertices."""
-    ech, _ = _ideal_slice(q, lam, mu)
-    return ech.rank
-
-
-def graded_ideal_basis(q: TiltingQuiver, lam, mu) -> tuple[list[dict[int, int]], list[Path]]:
-    """Echelon basis vectors (sparse, over path indices) and the path list."""
-    ech, _ = _ideal_slice(q, lam, mu)
-    return ech.basis(), enumerate_paths(q, lam, mu)
+    return _ideal_slice(q, lam, mu).rank
 
 
 def quotient_dim(q: TiltingQuiver, lam, mu) -> int:

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -18,7 +19,6 @@ from kq.quiver import (
     build_quiver,
     containment_pairs,
     enumerate_paths,
-    graded_ideal_basis,
     graded_ideal_dim,
     kernel_report,
     p2_pairs,
@@ -247,15 +247,47 @@ def _path_keyed_slice(q, lam, mu, cache):
     return ech, paths
 
 
+def _slice_rows(record):
+    """The basis rows of a packed ideal slice, as sparse dicts, in its
+    (pivot) order."""
+    starts = [0, *record.ends[:-1]]
+    return [dict(zip(record.cols[s:e], record.vals[s:e])) for s, e in zip(starts, record.ends)]
+
+
+def graded_ideal_basis(q, lam, mu):
+    """Echelon basis vectors (sparse, over path indices) and the path list."""
+    return _slice_rows(quiver._ideal_slice(q, lam, mu)), enumerate_paths(q, lam, mu)
+
+
 def test_integer_columns_match_path_keyed_slices():
     for n in (4, 5):
         q = TiltingQuiver(n)  # fresh instance, avoids the shared cache
         reference = {}
         for lam, mu in containment_pairs(q, 4):
             expect, paths = _path_keyed_slice(q, lam, mu, reference)
-            ech, routes = quiver._ideal_slice(q, lam, mu)
-            assert ech.pivot_rows == expect.pivot_rows, (n, lam, mu)
-            assert len(routes) * n ** len(routes[0]) == len(paths)
+            record = quiver._ideal_slice(q, lam, mu)
+            assert _slice_rows(record) == expect.basis(), (n, lam, mu)
+            assert len(record.routes) * n ** len(record.routes[0]) == len(paths)
+
+
+def test_finished_slices_are_packed():
+    """A cached slice keeps no SparseEchelon and no dict rows: its columns
+    and row ends are 64-bit arrays, its coefficients one tuple of ints,
+    and its rank is its row count."""
+    for n in (4, 5):
+        q = TiltingQuiver(n)
+        for lam, mu in containment_pairs(q, 4):
+            quiver._ideal_slice(q, lam, mu)
+        assert q._ideal_cache
+        for key, record in q._ideal_cache.items():
+            assert type(record) is quiver.IdealSlice, key
+            assert not any(isinstance(f, (SparseEchelon, dict)) for f in record), key
+            assert all(type(r) is tuple and all(type(d) is int for d in r) for r in record.routes)
+            assert type(record.cols) is type(record.ends) is array
+            assert record.cols.typecode == record.ends.typecode == "q"
+            assert type(record.vals) is tuple and all(type(x) is int for x in record.vals)
+            assert record.rank == len(record.ends) == graded_ideal_dim(q, *key)
+            assert len(record.cols) == len(record.vals) == (record.ends[-1] if record.ends else 0)
 
 
 def test_lazy_ideal_matches_direct_enumeration_at_degree_three():
