@@ -9,12 +9,11 @@ and a three-term exchange around each square).  Graded slices of the
 ideal are computed by exact sparse elimination over the monomial path
 basis, extending lower-degree slices one arrow at a time.
 
-Slices hold no Path objects.  The paths lam -> mu of L steps are
-numbered as enumerate_paths lists them: column route_index * n**L +
-word, where the route is the direction string of the walk and the word
-is the base-n number of the column indices minus one, the tail arrow's
-digit most significant.  Extending a row of a shorter slice by an arrow
-at the head or at the tail then maps its columns by integer arithmetic.
+Slices hold no Path objects.  A path of L arrows has the column
+sum(letter_i * (2n)**(L-1-i)), letter = 2(rho - 1) + direction - 1, the
+tail arrow most significant; so the smallest column of a row is its
+leading term when paths compare arrow by arrow from the tail, smaller
+rho first and horizontal first at equal rho.
 Only the slice under construction is a live SparseEchelon; a finished
 slice is cached packed (IdealSlice): its rank, and its basis rows in
 pivot order as one array('q') of columns, one flat tuple of exact int
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice
+from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
 from .linalg import SparseEchelon, rat, rat_to_json
@@ -69,6 +69,11 @@ class Arrow:
         expect[self.direction - 1] += 1
         if tuple(expect) != self.head:
             raise ValueError("head must be tail + e_direction")
+
+    @property
+    def letter(self) -> int:
+        """The arrow's digit in a path column: 2(rho - 1) + direction - 1."""
+        return 2 * (self.rho - 1) + self.direction - 1
 
     def to_json(self) -> dict:
         return {"tail": list(self.tail), "head": list(self.head), "rho": self.rho}
@@ -330,34 +335,18 @@ def relation_arrow_terms(q: TiltingQuiver) -> dict[RelationElement, tuple[int, .
     return q._relation_terms
 
 
-def enumerate_routes(q: TiltingQuiver, lam, mu) -> list[tuple[int, ...]]:
-    """All direction strings of monotone vertex walks lam -> mu."""
+def path_count(q: TiltingQuiver, lam, mu) -> int:
+    """The number of paths lam -> mu: n**L per monotone walk in a >= b,
+    the walks counted by the reflection principle (one that reaches
+    b = a + 1 reflects to a walk from (lam[1] - 1, lam[0] + 1))."""
     lam, mu = tuple(lam), tuple(mu)
     if not (q.has_vertex(lam) and q.has_vertex(mu)):
         raise ValueError("endpoints must be quiver vertices")
-    routes = []
-
-    def walk(v, trail):
-        if v == mu:
-            routes.append(tuple(trail))
-            return
-        for direction, head in ((1, (v[0] + 1, v[1])), (2, (v[0], v[1] + 1))):
-            if head[0] <= mu[0] and head[1] <= mu[1] and head[0] >= head[1] and q.has_vertex(head):
-                trail.append(direction)
-                walk(head, trail)
-                trail.pop()
-
-    if mu[0] >= lam[0] and mu[1] >= lam[1]:
-        walk(lam, [])
-    return routes
-
-
-def path_count(q: TiltingQuiver, lam, mu) -> int:
-    lam, mu = tuple(lam), tuple(mu)
-    if lam == mu:
-        return 1
-    length = (mu[0] - lam[0]) + (mu[1] - lam[1])
-    return len(enumerate_routes(q, lam, mu)) * q.n**length
+    h, v = mu[0] - lam[0], mu[1] - lam[1]
+    if h < 0 or v < 0:
+        return 0
+    crossing = comb(h + v, mu[0] - lam[1] + 1) if mu[1] > lam[0] else 0
+    return (comb(h + v, h) - crossing) * q.n ** (h + v)
 
 
 def _check_path_space(count: int, lam, mu) -> None:
@@ -370,34 +359,32 @@ def _check_path_space(count: int, lam, mu) -> None:
 
 
 def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
-    """All monomial paths lam -> mu, grouped by route, columns in
-    lexicographic order; subject to the path-space guardrail."""
+    """All monomial paths lam -> mu in increasing column order, by a
+    depth-first walk over the arrows in letter order; subject to the
+    path-space guardrail."""
     lam, mu = tuple(lam), tuple(mu)
-    if lam == mu:
-        return [Path()]
     _check_path_space(path_count(q, lam, mu), lam, mu)
     out = []
-    for route in enumerate_routes(q, lam, mu):
-        partial = [([], lam)]
-        for direction in route:
-            nxt = []
-            for arrows, v in partial:
-                head = (v[0] + 1, v[1]) if direction == 1 else (v[0], v[1] + 1)
-                for rho in range(1, q.n + 1):
-                    nxt.append((arrows + [Arrow(v, head, direction, rho)], head))
-            partial = nxt
-        out.extend(Path(arrows) for arrows, _ in partial)
+
+    def walk(v, trail):
+        if v == mu:
+            out.append(Path(trail))
+            return
+        for a in sorted(q.arrows_from(v), key=lambda a: a.letter):
+            if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
+                walk(a.head, trail + (a,))
+
+    walk(lam, ())
     return out
 
 
 class IdealSlice(NamedTuple):
-    """A finished graded slice of the relation ideal, packed: its rank,
-    the routes lam -> mu, and its echelon basis rows in pivot order.
-    Row k has the columns cols[start:ends[k]] and the exact coefficients
-    vals[start:ends[k]], where start is ends[k - 1], or 0 for k = 0."""
+    """A finished graded slice of the relation ideal, packed: its rank
+    and its echelon basis rows in pivot order.  Row k has the columns
+    cols[start:ends[k]] and the exact coefficients vals[start:ends[k]],
+    where start is ends[k - 1], or 0 for k = 0."""
 
     rank: int
-    routes: list[tuple[int, ...]]
     cols: array
     vals: tuple[int, ...]
     ends: array
@@ -405,28 +392,23 @@ class IdealSlice(NamedTuple):
 
 def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
     """The graded slice of the relation ideal between two vertices, over
-    the path columns of the module docstring.
+    the letter columns of the module docstring.
 
     Built lazily by degree: the degree-two slices are the relation
     bases themselves; longer slices are spanned by lower slices extended
-    by a single arrow at the head (column r * n**(L-1) + w goes to
-    pos[route_r + (dir,)] * n**L + w * n + rho - 1) or at the tail (to
-    pos[(dir,) + route_r] * n**L + (rho - 1) * n**(L-1) + w).  A slice
-    is eliminated in a SparseEchelon, but cached packed: the columns in
-    one array('q') (the path-space guardrail bounds them by the slice's
-    path count), the coefficients in one flat tuple of ints.
+    by a single arrow a at the head (column c goes to c * 2n + letter(a))
+    or at the tail (to letter(a) * (2n)**(L-1) + c).  A slice is
+    eliminated in a SparseEchelon, but cached packed: the columns in one
+    array('q'), the coefficients in one flat tuple of ints.  Columns are
+    below (2n)**L, so below 2**L times the path count, not below it.
     """
     lam, mu = tuple(lam), tuple(mu)
     key = (lam, mu)
     if key in q._ideal_cache:
         return q._ideal_cache[key]
-    n = q.n
-    routes = enumerate_routes(q, lam, mu)
-    length = len(routes[0]) if routes else 0
-    size = n**length
-    if lam != mu:
-        _check_path_space(len(routes) * size, lam, mu)
-    pos = {r: i for i, r in enumerate(routes)}
+    _check_path_space(path_count(q, lam, mu), lam, mu)
+    length = (mu[0] - lam[0]) + (mu[1] - lam[1])
+    radix = 2 * q.n
     ech = SparseEchelon()
     if length == 2:
         for rel in relation_set_for(q, lam, mu):
@@ -434,22 +416,19 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
             for p, c in rel.terms.items():
                 assert c.denominator == 1
                 a, b = p.arrows
-                vec[pos[(a.direction, b.direction)] * size + (a.rho - 1) * n + b.rho - 1] = int(c)
+                vec[a.letter * radix + b.letter] = int(c)
             ech.insert(vec)
     elif length > 2:
-        low = size // n
-        extensions = []  # (sub-slice, base of each sub-route, column scale)
+        extensions = []  # (sub-slice, column scale, column offset)
         for a in q.arrows_into(mu):
             if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
-                sub = _ideal_slice(q, lam, a.tail)
-                extensions.append((sub, [pos[r + (a.direction,)] * size + a.rho - 1 for r in sub.routes], n))
+                extensions.append((_ideal_slice(q, lam, a.tail), radix, a.letter))
         for a in q.arrows_from(lam):
             if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
-                sub = _ideal_slice(q, a.head, mu)
-                extensions.append((sub, [pos[(a.direction,) + r] * size + (a.rho - 1) * low for r in sub.routes], 1))
-        for sub, base, scale in extensions:
+                extensions.append((_ideal_slice(q, a.head, mu), 1, a.letter * radix ** (length - 1)))
+        for sub, scale, offset in extensions:
             # every column is mapped once; each row takes its run of pairs
-            terms = zip([base[c // low] + c % low * scale for c in sub.cols], sub.vals)
+            terms = zip([c * scale + offset for c in sub.cols], sub.vals)
             start = 0
             for end in sub.ends:
                 ech.insert(dict(islice(terms, end - start)))
@@ -457,7 +436,6 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
     rows = ech.basis()
     q._ideal_cache[key] = IdealSlice(
         ech.rank,
-        routes,
         array("q", chain.from_iterable(rows)),
         tuple(chain.from_iterable(map(dict.values, rows))),
         array("q", accumulate(map(len, rows))),

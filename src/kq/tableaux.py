@@ -103,7 +103,7 @@ class SkewShape:
         inner = Partition.coerce(inner)
         outer = Partition.coerce(outer)
         if not outer.contains(inner):
-            raise NotContainedError(f"{inner} is not contained in {outer}")
+            raise NotContainedError(f"{inner.parts} is not contained in {outer.parts}")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "outer", outer)
 
@@ -423,7 +423,7 @@ def gamma_set(lam, mu) -> list[Partition]:
     if lam.num_rows > 2 or mu.num_rows > 2:
         raise ValueError("two-row partitions only")
     if not (mu.contains(lam) and mu != lam):
-        raise NotContainedError(f"{lam} is not strictly contained in {mu}")
+        raise NotContainedError(f"{lam.parts} is not strictly contained in {mu.parts}")
     l1, l2 = lam.padded(2)
     u1, u2 = mu.padded(2)
     m1, m2 = u1 - l1, u2 - l2

@@ -206,6 +206,16 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_not_contained_pair_gives_one_message(capsys):
+    lines = []
+    for command in ("verify-kernel", "verify-surjectivity"):
+        assert run([command, "--n", "4", "--lam", "2,0", "--mu", "0,0"]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] == "error: (2,) is not strictly contained in ()\n"
+    assert run(["ssyt-count", "--inner", "2", "--outer", "1", "--max-entry", "3"]) == 2
+    assert capsys.readouterr().err == "error: (2,) is not contained in (1,)\n"
+
+
 def test_internal_value_error_is_not_malformed_input(monkeypatch, capsys):
     def broken(*args):
         raise ValueError("internal bug")

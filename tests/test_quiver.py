@@ -220,29 +220,49 @@ def _direct_ideal_dim(q, lam, mu):
     return ech.rank
 
 
-def _path_keyed_slice(q, lam, mu, cache):
+def _letter_column(q, path):
+    """A path's column: the base-2n number of its arrow letters
+    2(rho - 1) + direction - 1, the tail arrow most significant."""
+    col = 0
+    for a in path.arrows:
+        col = col * 2 * q.n + 2 * (a.rho - 1) + a.direction - 1
+    return col
+
+
+def _route_first_column(q, path):
+    """The route-first column order, route_index * n**L + word: the
+    directions as a binary number, then the base-n number of the column
+    indices minus one, both with the tail arrow most significant."""
+    route = word = 0
+    for a in path.arrows:
+        route = route * 2 + a.direction - 1
+        word = word * q.n + a.rho - 1
+    return route * q.n ** len(path) + word
+
+
+def _path_keyed_slice(q, lam, mu, cache, column=_letter_column):
     """Reference: the ideal slice grown degree by degree over Path
-    objects, each extended path looked up in a Path-keyed index."""
+    objects, each extended path keyed by column(q, path).  Returns the
+    echelon and a dict from column to path."""
     if (lam, mu) in cache:
         return cache[(lam, mu)]
-    paths = enumerate_paths(q, lam, mu)
-    index = {p: i for i, p in enumerate(paths)}
+    paths = {column(q, p): p for p in enumerate_paths(q, lam, mu)}
     ech = SparseEchelon()
     length = (mu[0] - lam[0]) + (mu[1] - lam[1])
     if length == 2:
         for rel in relation_set_for(q, lam, mu):
-            ech.insert({index[p]: int(c) for p, c in rel.terms.items()})
+            ech.insert({column(q, p): int(c) for p, c in rel.terms.items()})
     elif length > 2:
         for a in q.arrows_into(mu):
             if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
-                sub_ech, sub_paths = _path_keyed_slice(q, lam, a.tail, cache)
+                sub_ech, sub_paths = _path_keyed_slice(q, lam, a.tail, cache, column)
                 for row in sub_ech.basis():
-                    ech.insert({index[Path(sub_paths[c].arrows + (a,))]: x for c, x in row.items()})
+                    ech.insert({column(q, Path(sub_paths[c].arrows + (a,))): x for c, x in row.items()})
         for a in q.arrows_from(lam):
             if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
-                sub_ech, sub_paths = _path_keyed_slice(q, a.head, mu, cache)
+                sub_ech, sub_paths = _path_keyed_slice(q, a.head, mu, cache, column)
                 for row in sub_ech.basis():
-                    ech.insert({index[Path((a,) + sub_paths[c].arrows)]: x for c, x in row.items()})
+                    ech.insert({column(q, Path((a,) + sub_paths[c].arrows)): x for c, x in row.items()})
     cache[(lam, mu)] = (ech, paths)
     return ech, paths
 
@@ -254,8 +274,13 @@ def _slice_rows(record):
     return [dict(zip(record.cols[s:e], record.vals[s:e])) for s, e in zip(starts, record.ends)]
 
 
+def _lead_terms(q, lam, mu):
+    """The pivots of a slice: each basis row's smallest column."""
+    return {min(row) for row in _slice_rows(quiver._ideal_slice(q, lam, mu))}
+
+
 def graded_ideal_basis(q, lam, mu):
-    """Echelon basis vectors (sparse, over path indices) and the path list."""
+    """Echelon basis vectors (sparse, over letter columns) and the path list."""
     return _slice_rows(quiver._ideal_slice(q, lam, mu)), enumerate_paths(q, lam, mu)
 
 
@@ -267,7 +292,7 @@ def test_integer_columns_match_path_keyed_slices():
             expect, paths = _path_keyed_slice(q, lam, mu, reference)
             record = quiver._ideal_slice(q, lam, mu)
             assert _slice_rows(record) == expect.basis(), (n, lam, mu)
-            assert len(record.routes) * n ** len(record.routes[0]) == len(paths)
+            assert path_count(q, lam, mu) == len(paths)
 
 
 def test_finished_slices_are_packed():
@@ -282,7 +307,6 @@ def test_finished_slices_are_packed():
         for key, record in q._ideal_cache.items():
             assert type(record) is quiver.IdealSlice, key
             assert not any(isinstance(f, (SparseEchelon, dict)) for f in record), key
-            assert all(type(r) is tuple and all(type(d) is int for d in r) for r in record.routes)
             assert type(record.cols) is type(record.ends) is array
             assert record.cols.typecode == record.ends.typecode == "q"
             assert type(record.vals) is tuple and all(type(x) is int for x in record.vals)
@@ -306,7 +330,6 @@ def test_staircase_normal_paths_span_the_quotient():
         q = build_quiver(n)
         for lam, mu in pairs:
             basis, paths = graded_ideal_basis(q, lam, mu)
-            index = {p: i for i, p in enumerate(paths)}
             ech = SparseEchelon()
             for row in basis:
                 assert ech.insert(dict(row))
@@ -314,7 +337,7 @@ def test_staircase_normal_paths_span_the_quotient():
             for p in paths:
                 directions = [a.direction for a in p.arrows]
                 if directions == sorted(directions):  # horizontal steps first
-                    if ech.insert({index[p]: 1}):
+                    if ech.insert({_letter_column(q, p): 1}):
                         added += 1
             assert ech.rank == len(paths)
             assert added == quotient_dim(q, lam, mu)
@@ -362,3 +385,108 @@ def test_sparse_echelon_is_exact():
     assert ech.insert({1: 1})
     assert not ech.insert({0: 3, 1: 5})
     assert ech.rank == 2
+
+
+def _walk_count(q, lam, mu):
+    """Oracle: monotone vertex walks lam -> mu, by a transfer count."""
+    ways = {lam: 1}
+    for v in sorted(q.vertices, key=lambda v: v[0] + v[1]):
+        for w in ((v[0] + 1, v[1]), (v[0], v[1] + 1)):
+            if v in ways and q.has_vertex(w):
+                ways[w] = ways.get(w, 0) + ways[v]
+    return ways.get(mu, 0)
+
+
+def test_path_count_is_the_walk_count_times_n_to_the_length():
+    for n in range(4, 10):
+        q = build_quiver(n)
+        for lam in q.vertices:
+            for mu in q.vertices:
+                length = max(0, (mu[0] - lam[0]) + (mu[1] - lam[1]))
+                assert path_count(q, lam, mu) == _walk_count(q, lam, mu) * n**length, (n, lam, mu)
+
+
+def test_path_count_matches_enumerate_paths_in_column_order():
+    """Every vertex pair for n = 4, 5, and n = 6 up to degree 4 (its
+    degree-8 pair alone has 14 * 6**8 paths): the count, the endpoints,
+    and strictly increasing letter columns.  Pairs that are not contained
+    have no paths, and lam = mu has the empty path."""
+    for n, max_degree in ((4, 4), (5, 6), (6, 4)):
+        q = build_quiver(n)
+        for lam in q.vertices:
+            for mu in q.vertices:
+                if (mu[0] - lam[0]) + (mu[1] - lam[1]) > max_degree:
+                    continue
+                paths = enumerate_paths(q, lam, mu)
+                assert len(paths) == path_count(q, lam, mu), (n, lam, mu)
+                assert all(p.tail == lam and p.head == mu for p in paths if len(p))
+                cols = [_letter_column(q, p) for p in paths]
+                assert all(a < b for a, b in zip(cols, cols[1:])), (n, lam, mu)
+        assert enumerate_paths(q, (1, 1), (1, 1)) == [Path()]
+        assert enumerate_paths(q, (2, 0), (1, 1)) == [] == enumerate_paths(q, (1, 1), (2, 0))
+        for lam, mu in (((0, 1), (1, 1)), ((0, 0), (n, 0)), ((0, 0), (-1, 0))):
+            with pytest.raises(ValueError):
+                path_count(q, lam, mu)
+            with pytest.raises(ValueError):
+                enumerate_paths(q, lam, mu)
+
+
+def _normal(a, b):
+    """The closed-form rule for 2-paths: rho weakly decreases, strictly
+    at a horizontal -> vertical turn."""
+    return b.rho < a.rho or (b.rho == a.rho and (a.direction, b.direction) != (1, 2))
+
+
+def test_degree_two_leads_are_one_per_relation():
+    q = build_quiver(7)
+    total = 0
+    for lam, mu, _ in p2_pairs(q):
+        record = quiver._ideal_slice(q, lam, mu)
+        assert len(_lead_terms(q, lam, mu)) == record.rank == len(relation_set_for(q, lam, mu))
+        total += record.rank
+    assert total == len(relation_sets(q)) == 1050
+
+
+def test_degree_two_leads_are_the_paths_the_rule_calls_not_normal():
+    for n in (4, 5, 6):
+        q = build_quiver(n)
+        for lam, mu, _ in p2_pairs(q):
+            expect = {_letter_column(q, p) for p in enumerate_paths(q, lam, mu) if not _normal(*p.arrows)}
+            assert _lead_terms(q, lam, mu) == expect, (n, lam, mu)
+
+
+def _degree_three_failures(q, leads, column):
+    """Per degree-3 pair, the leading terms that contain no degree-2
+    leading term, and the paths that contain one but lead nothing; a pair
+    is left out when both are empty (degree 3 is PBW there)."""
+    out = {}
+    for lam, mu in containment_pairs(q, 3, min_degree=3):
+        generated = set()
+        for p in enumerate_paths(q, lam, mu):
+            a, b, c = p.arrows
+            if column(q, Path((a, b))) in leads(lam, b.head) or column(q, Path((b, c))) in leads(a.head, mu):
+                generated.add(column(q, p))
+        unresolved, missing = leads(lam, mu) - generated, generated - leads(lam, mu)
+        if unresolved or missing:
+            out[(lam, mu)] = (len(unresolved), len(missing))
+    return out
+
+
+def test_degree_three_leads_are_generated_in_degree_two():
+    """The PBW criterion in degree 3 for the letter order."""
+    for n in (4, 5, 6):
+        q = build_quiver(n)
+        assert _degree_three_failures(q, lambda lam, mu: _lead_terms(q, lam, mu), _letter_column) == {}
+
+
+def test_route_first_order_fails_the_degree_three_check():
+    """Mutation check: with the route-first columns the degree-3 check
+    must fail, so the check can see a wrong order."""
+    q = build_quiver(4)
+    cache = {}
+
+    def leads(lam, mu):
+        return set(_path_keyed_slice(q, lam, mu, cache, _route_first_column)[0].pivot_rows)
+
+    failures = _degree_three_failures(q, leads, _route_first_column)
+    assert failures == {((0, 0), (2, 1)): (4, 0), ((1, 0), (2, 2)): (4, 0)}
