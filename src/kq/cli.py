@@ -37,6 +37,8 @@ def _partition(text: str, max_rows: int | None = None) -> Partition:
 
 
 def _gl_dimension(gam: Partition, n: int) -> int:
+    if n < 0:
+        raise InputError(f"--n must be at least 0, got {n}")
     if gam.num_rows > n:
         raise InputError(f"{gam.parts} has more than --n {n} rows")
     return tableaux.gl_dimension(gam, n)

@@ -9,13 +9,14 @@ non-source vertex, and the relation families must evaluate to zero
 (each relation is summed in integers over one common denominator).
 
 Reconstruction inverts the embedding: given any stable representation
-satisfying the relations, a single sweep through the vertices in degree
-order normalizes the per-vertex bases.  The point is read off the
-incoming matrix at (1, 0); at every non-source vertex the actual
-incoming matrix differs from the canonical one by a left factor, which
-is solved on the pivot columns of the canonical matrix and undone.  The
-sweep both recovers the point and certifies membership in the image
-(exact equality of every normalized matrix with the canonical one).
+satisfying the relations, one forward solve per vertex in degree order
+recovers the gauge.  The point is read off the incoming matrix at (1, 0).
+At every non-source vertex v, the incoming matrix with each arrow's
+matrix times the block already solved at its tail equals g times the
+canonical incoming matrix; g is solved on the canonical pivot columns
+and the equality checked exactly.  Over all vertices the checks certify
+scramble(embed(point), gauge) == rep, and stability (checked first)
+makes every g invertible: the left side has rank d_v.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Mapping
 # f_matrix and g_matrix stay bound here, where the benchmark tracer of
 # kqbench/ looks them up, though embed builds its matrices by step_matrix.
 from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, step_matrix  # noqa: F401
-from .linalg import RatMatrix, SingularMatrixError, linear_combination
+from .linalg import RatMatrix, linear_combination
 from .quiver import Arrow, Path, RelationElement, TiltingQuiver, build_quiver, relation_arrow_terms, relation_sets
 
 SOURCE = (0, 0)
@@ -110,10 +111,13 @@ class QuiverRep:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "QuiverRep":
-        n = int(obj["n"])
+        n, records = int(obj["n"]), obj["arrows"]
+        expect = n * (n - 1) * (n - 2)  # refused before a quiver of this many arrows is built
+        if n >= 4 and len(records) != expect:
+            raise ValueError(f"{len(records)} arrow records, expected n(n-1)(n-2) = {expect}")
         q = build_quiver(n)
         mats = {}
-        for rec in obj["arrows"]:
+        for rec in records:
             tail = tuple(rec["tail"])
             head = tuple(rec["head"])
             direction = 1 if head[0] == tail[0] + 1 else 2
@@ -181,8 +185,11 @@ class GaugeElement:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "GaugeElement":
-        n = int(obj["n"])
-        return cls(n, {tuple(rec["vertex"]): RatMatrix.from_json(rec["matrix"]) for rec in obj["blocks"]})
+        n, records = int(obj["n"]), obj["blocks"]
+        expect = n * (n - 1) // 2
+        if n >= 4 and len(records) != expect:
+            raise ValueError(f"{len(records)} blocks, expected n(n-1)/2 = {expect}")
+        return cls(n, {tuple(rec["vertex"]): RatMatrix.from_json(rec["matrix"]) for rec in records})
 
 
 @dataclass(frozen=True)
@@ -373,43 +380,39 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
     """Recover the point and the gauge from a stable relation-satisfying
     representation, so that scramble(embed(point), gauge) == rep exactly.
 
-    After the point is read off at (1, 0), every non-source vertex in
-    degree order (so its tails are done) takes the gauge block g with
-    actual = g * canonical on the pivot columns of the canonical incoming
-    matrix, and g^{-1} goes onto the arrows into it and g onto the arrows
-    out of it.  The normalized incoming matrix must then equal the
-    canonical one; since the arrows into a vertex never change after it
-    is done, these checks certify every arrow.
+    The point is read off at (1, 0).  Each non-source vertex v, in degree
+    order, forms `actual`: its incoming matrix with each arrow's matrix
+    times the block solved at the arrow's tail.  g solves actual = g * canon
+    on the pivot columns of the canonical incoming matrix canon, and the
+    whole equality is checked; over all v that is exactly
+    scramble(embed(point), gauge) == rep, as every arrow has a non-source
+    head.  g is invertible: actual, the stable incoming matrix times an
+    invertible block diagonal, has rank d_v.
     """
     violations = check_relations(rep)
     if violations:
-        raise RelationsViolatedError(f"{len(violations)} relation(s) violated")
+        r = violations[0].relation
+        raise RelationsViolatedError(
+            f"{len(violations)} relation(s) violated; first: {r.family} {r.indices} at {r.tail} -> {r.head}"
+        )
     stability = check_stability(rep)
     if not stability.ok:
         bad = [e.vertex for e in stability.entries if not e.ok]
         raise NotStableError(f"rank-deficient at {bad}")
 
     q = rep.quiver
-    work = dict(rep.matrices)
-    point = reduce_point(_incoming(q, work, (1, 0)))
+    point = reduce_point(assemble_W(rep, (1, 0)))
     canonical = embed(point)
     blocks = {SOURCE: RatMatrix.identity(1)}
     for v in q.vertices[1:]:
-        canon = _incoming(q, canonical.matrices, v)
+        canon = assemble_W(canonical, v)
         cols = canon.pivot_columns()
-        try:
-            g = _incoming(q, work, v).take_columns(cols) * canon.take_columns(cols).invert()
-            g_inv = g.invert()
-        except SingularMatrixError as exc:
-            raise NotInImageError(f"no invertible block match at {v}") from exc
+        actual = _incoming(q, {a: rep.matrices[a] * blocks[a.tail] for a in q.arrows_into(v)}, v)
+        g = actual.take_columns(cols) * canon.take_columns(cols).invert()
+        if actual != g * canon:
+            raise NotInImageError(f"incoming matrices at {v} do not match the embedding")
         blocks[v] = g
-        for a in q.arrows_into(v):
-            work[a] = g_inv * work[a]
-        for a in q.arrows_from(v):
-            work[a] = work[a] * g
-        if _incoming(q, work, v) != canon:
-            raise NotInImageError(f"normalized matrices at {v} do not match the embedding")
-    return point, GaugeElement._trusted(rep.n, blocks)  # every block was inverted above
+    return point, GaugeElement._trusted(rep.n, blocks)  # invertible, as above
 
 
 def random_point(n: int, seed) -> GrPoint:

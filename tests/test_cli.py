@@ -185,6 +185,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
         assert code == 2, empty_sweep
     code, _ = invoke(capsys, "fg-matrix", "--k", "2", "--x", "1/0,1")
     assert code == 2
+    for negative_n in (("gl-dim", "--gam", ","), ("hom-dim", "--lam", "0,0", "--mu", "1,1")):
+        assert run([*negative_n, "--n", "-3"]) == 2, negative_n
+        assert capsys.readouterr().err == "error: --n must be at least 0, got -3\n"
     rep_json = embed(random_point(4, "p")).to_json()
     arrows = rep_json["arrows"]
     zero_den = dict(arrows[0], matrix=dict(arrows[0]["matrix"], entries=[["1/0"], ["0"]]))
@@ -196,6 +199,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
         bad.write_text(json.dumps(dict(rep_json, arrows=stray)))
         code, _ = invoke(capsys, "check", "--rep", str(bad))
         assert code == 2, stray[-1]
+    bad.write_text(json.dumps({"n": 400, "arrows": []}))  # refused by its record count
+    code, _ = invoke(capsys, "check", "--rep", str(bad))
+    assert code == 2
     point_json = random_point(4, "p").to_json()
     point_json["matrix"][0][2] = "1/0"
     bad.write_text(json.dumps(point_json))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -352,19 +353,21 @@ def test_rep_matrices_are_read_only():
         rep.matrices[a] = RatMatrix.zeros(*rep.matrices[a].shape)
 
 
+def counted(calls: Counter, name: str, fn):
+    """fn, counting its calls under `name` in `calls`."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 def test_one_check_evaluates_each_relation_once_from_one_relation_sets_call(monkeypatch):
     """kqbench/test_bench.py counts relation_sets and evaluate_relation calls
     under its tracer; on a quiver with nothing cached, one check_relations
     makes one relation_sets call and one evaluate_relation call per relation."""
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
     relations = len(relation_sets(build_quiver(5)))
     mats = scramble(embed(random_point(5, "pins")), random_gauge(5, "pins")).matrices
     fresh = TiltingQuiver(5)
@@ -372,10 +375,76 @@ def test_one_check_evaluates_each_relation_once_from_one_relation_sets_call(monk
     rep = QuiverRep(5, mats)
     assert rep.quiver is fresh
     for module in (moduli, quiver):
-        monkeypatch.setattr(module, "relation_sets", counted("relation_sets", quiver.relation_sets))
-    monkeypatch.setattr(moduli, "evaluate_relation", counted("evaluate_relation", moduli.evaluate_relation))
+        monkeypatch.setattr(module, "relation_sets", counted(calls, "relation_sets", quiver.relation_sets))
+    monkeypatch.setattr(moduli, "evaluate_relation", counted(calls, "evaluate_relation", moduli.evaluate_relation))
     assert check_relations(rep) == []
     assert calls == {"relation_sets": 1, "evaluate_relation": relations}
+
+
+def test_reconstruct_solves_forward_with_one_inverse_per_vertex(monkeypatch):
+    """One n=5 reconstruct inverts at most one matrix per vertex and forms
+    one product per arrow (its matrix times the block at its tail) plus
+    two per non-source vertex (the solve and the check), and one more."""
+    calls = Counter()
+    rep = scramble(embed(random_point(5, "counts")), random_gauge(5, "counts"))
+    q = rep.quiver
+    monkeypatch.setattr(RatMatrix, "invert", counted(calls, "invert", RatMatrix.invert))
+    monkeypatch.setattr(RatMatrix, "__mul__", counted(calls, "mul", RatMatrix.__mul__))
+    reconstruct(rep)
+    vertices, arrows = len(q.vertices), len(q.arrows)
+    assert calls["invert"] <= vertices
+    assert calls["mul"] <= arrows + 2 * (vertices - 1) + 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_reconstructed_blocks_pass_the_validating_gauge(n):
+    """Every block that reconstruct returns is square of the vertex dim and
+    invertible, also for a point whose pivots are not the first columns."""
+    nonstandard = reduce_point(RatMatrix([[1, 2, 0] + [5] * (n - 3), [0, 0, 1] + list(range(7, 4 + n))]))
+    assert nonstandard.pivot_cols == (0, 2)
+    for i, y in enumerate((random_point(n, "valid"), nonstandard)):
+        rep = scramble(embed(y), random_gauge(n, f"valid:{i}"))
+        point, gauge = reconstruct(rep)
+        assert point == y
+        assert GaugeElement(n, gauge.blocks) == gauge
+        assert scramble(embed(point), gauge) == rep
+
+
+def test_stability_first_keeps_a_singular_block_out(monkeypatch):
+    """Zero arrows into the top vertex keep every relation but solve its
+    block as 0 with every sweep check passing, so only the stability
+    check, run first, refuses the input."""
+    rep = embed(random_point(4, "top"))
+    top = rep.quiver.vertices[-1]
+    zeroed = {a: RatMatrix.zeros(*rep.matrices[a].shape) for a in rep.quiver.arrows_into(top)}
+    bad = QuiverRep(4, {**rep.matrices, **zeroed})
+    with pytest.raises(NotStableError, match=re.escape(str(top))):
+        reconstruct(bad)
+    monkeypatch.setattr(moduli, "check_stability", lambda rep: moduli.StabilityReport((), True))
+    _, gauge = reconstruct(bad)
+    assert gauge.blocks[top].is_zero()
+
+
+def test_relation_violation_names_the_relation_at_fault():
+    """The message names the first violated relation; with one arrow a
+    perturbed, that relation has a path through a, so it starts at a's
+    tail or ends at a's head."""
+    pattern = re.compile(r"(\d+) relation\(s\) violated; first: (\w+) (\(.*?\)) at (\(.*?\)) -> (\(.*?\))$")
+    rep = scramble(embed(random_point(5, "named")), random_gauge(5, "named"))
+    rng = random.Random("named")
+    for a in rng.sample(rep.quiver.arrows, 6):
+        m = rep.matrices[a]
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += 1
+        bad = QuiverRep(5, {**rep.matrices, a: RatMatrix(rows)})
+        with pytest.raises(RelationsViolatedError) as info:
+            reconstruct(bad)
+        count, family, indices, tail, head = pattern.match(str(info.value)).groups()
+        violations = check_relations(bad)
+        first = violations[0].relation
+        assert int(count) == len(violations)
+        assert (family, indices, tail, head) == (first.family, str(first.indices), str(first.tail), str(first.head))
+        assert first.tail == a.tail or first.head == a.head
 
 
 def test_scramble_group_action():
@@ -533,6 +602,24 @@ def test_rep_json_roundtrip():
     assert again == rep
     gauge = random_gauge(4, "gjson")
     assert GaugeElement.from_json(gauge.to_json()) == gauge
+
+
+def test_quiver_counts_match_the_record_counts():
+    for n in range(4, 10):
+        q = build_quiver(n)
+        assert len(q.arrows) == n * (n - 1) * (n - 2)
+        assert len(q.vertices) == n * (n - 1) // 2
+
+
+def test_record_counts_are_checked_before_the_quiver_is_built(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"built the quiver for n={n}")
+
+    monkeypatch.setattr(moduli, "build_quiver", refuse)
+    with pytest.raises(ValueError, match="expected n\\(n-1\\)\\(n-2\\) = 63520800"):
+        QuiverRep.from_json({"n": 400, "arrows": []})
+    with pytest.raises(ValueError, match="expected n\\(n-1\\)/2 = 79800"):
+        GaugeElement.from_json({"n": 400, "blocks": []})
 
 
 def test_rep_shape_validation():
