@@ -22,12 +22,10 @@ from .tableaux import (
     skew_decomposition,
 )
 from .fibers import (
-    FiberTensor,
     GrPoint,
     f_matrix,
     g_matrix,
     reduce_point,
-    section_apply,
     section_matrix,
     surjectivity_rank,
     theta_compose,

@@ -5,10 +5,11 @@ two-row weight lam carries a fiber of dimension lam1 - lam2 + 1 with the
 standard monomial basis: lam2 wedge factors (b2 ^ b1) followed by a
 degree lam1 - lam2 monomial in b1, b2.  This module builds the banded
 matrices of the two elementary maps (append a section to the symmetric
-part; sum over wedge pairings with a section), provides a symbolic
-evaluator that derives the same matrices directly from the definitions
-(the test oracle for the banded formulas), and composes them along the
-horizontal-then-vertical staircase between two weights.
+part; sum over wedge pairings with a section), derives the same
+matrices directly from the definitions, one column per basis monomial
+(`section_matrix`, the test oracle for the banded formulas), and
+composes them along the horizontal-then-vertical staircase between two
+weights.
 
 `surjectivity_rank` certifies that these compositions span the graded
 map space, one torus weight at a time.  For each dominant weight alpha
@@ -26,7 +27,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon, rat, rat_to_json
+from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon
 from .tableaux import NotContainedError, Partition, dominant_weights, hom_dim
 
 
@@ -184,109 +185,42 @@ def step_matrix(y: GrPoint, k: int, horizontal: bool, rho: int) -> RatMatrix:
     return _banded(k, horizontal, a1, a2, y.matrix._d)
 
 
-class FiberTensor:
-    """An element of the fiber at a two-row weight, in normal form.
-
-    Terms live over the monomial basis indexed by j = 0 .. lam1 - lam2,
-    where j counts the b2 factors of the symmetric part.  Wedge factors
-    are expanded immediately, so the exchange relations hold by
-    construction.
-    """
-
-    __slots__ = ("lam", "terms")
-
-    def __init__(self, lam, terms: Mapping[int, Fraction]):
-        lam = Partition.coerce(lam)
-        if lam.num_rows > 2:
-            raise ValueError("two-row weights only")
-        top = lam.part(0) - lam.part(1)
-        clean = {}
-        for j, c in terms.items():
-            c = rat(c)
-            if not c:
-                continue
-            if not (0 <= j <= top):
-                raise ValueError(f"basis index {j} out of range for {lam}")
-            clean[j] = c
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberTensor is immutable")
-
-    @classmethod
-    def basis(cls, lam, j: int) -> "FiberTensor":
-        return cls(lam, {j: 1})
-
-    def dim(self) -> int:
-        return fiber_dim(self.lam)
-
-    def coeff(self, j: int) -> Fraction:
-        return self.terms.get(j, Fraction(0))
-
-    def as_vector(self) -> RatMatrix:
-        return RatMatrix.column([self.coeff(j) for j in range(self.dim())])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FiberTensor):
-            return self.lam == other.lam and self.terms == other.terms
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"p[{j}]*{rat_to_json(c)}" for j, c in sorted(self.terms.items()))
-        return f"FiberTensor({self.lam.parts}: {body or '0'})"
-
-
-def section_apply(kind: str, lam, rho: int, y: GrPoint, t: FiberTensor) -> FiberTensor:
-    """Apply the elementary map of the given kind ('f' or 'g') for column
-    rho of the point to a fiber element at lam, symbolically.
+def section_matrix(kind: str, lam, rho: int, y: GrPoint) -> RatMatrix:
+    """The matrix of the elementary map of the given kind ('f' or 'g')
+    for column rho of the point on the fiber at lam, filled one column
+    per basis monomial b1^a b2^j straight from the definitions; the
+    independent oracle for f_matrix / g_matrix.
 
     'f' appends the section to the symmetric part of each monomial; 'g'
     sums over ways of pairing one symmetric variable with the section
     into a new wedge factor, which is then expanded over the fiber
-    basis.  Both derive the matrix entries from the definitions rather
-    than from the banded formulas.
+    basis.
     """
     lam = Partition.coerce(lam)
-    if t.lam != lam:
-        raise ValueError("fiber element is not at the given weight")
     if kind not in ("f", "g"):
         raise ValueError("kind must be 'f' or 'g'")
-    step = (1, 0) if kind == "f" else (0, 1)
     l1, l2 = lam.padded(2)
-    target = (l1 + step[0], l2 + step[1])
+    target = (l1 + 1, l2) if kind == "f" else (l1, l2 + 1)
     if target[0] < target[1] or not in_young(Partition(target), y.n) or not in_young(lam, y.n):
         raise OutOfYoungError(f"{lam.parts} -> {target} leaves the weight staircase")
     x1, x2 = y.column(rho)
     top = l1 - l2
-    out: dict[int, Fraction] = {}
-
-    def bump(j: int, c: Fraction):
-        if c:
-            out[j] = out.get(j, Fraction(0)) + c
-
-    for j, c in t.terms.items():
+    rows = [[0] * (top + 1) for _ in range(fiber_dim(Partition(target)))]
+    for j in range(top + 1):
         a = top - j  # b1 exponent of the monomial
         if kind == "f":
             # (b1^a b2^j) * (x1 b1 + x2 b2)
-            bump(j, c * x1)
-            bump(j + 1, c * x2)
+            rows[j][j] = x1
+            rows[j + 1][j] = x2
         else:
             # pair each symmetric variable with the section:
             #   b1 ^ (x1 b1 + x2 b2) = -x2 (b2 ^ b1),  a choices
             #   b2 ^ (x1 b1 + x2 b2) = +x1 (b2 ^ b1),  j choices
-            bump(j, -c * a * x2)
-            bump(j - 1, c * j * x1)
-    return FiberTensor(Partition(target), out)
-
-
-def section_matrix(kind: str, lam, rho: int, y: GrPoint) -> RatMatrix:
-    """Assemble the matrix of the elementary map column by column from
-    section_apply; the independent oracle for f_matrix / g_matrix."""
-    lam = Partition.coerce(lam)
-    k = fiber_dim(lam)
-    cols = [section_apply(kind, lam, rho, y, FiberTensor.basis(lam, j)).as_vector() for j in range(k)]
-    return RatMatrix.hstack(cols)
+            if a:
+                rows[j][j] = -a * x2
+            if j:
+                rows[j - 1][j] = j * x1
+    return RatMatrix(rows)
 
 
 def staircase(lam, mu) -> list[Partition]:

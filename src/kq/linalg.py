@@ -102,10 +102,6 @@ class RatMatrix:
         return cls._raw(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
-    def column(cls, entries: Sequence) -> "RatMatrix":
-        return cls([[x] for x in entries])
-
-    @classmethod
     def hstack(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
         if not blocks:
             raise ValueError("nothing to stack")

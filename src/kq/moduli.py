@@ -60,6 +60,13 @@ class SourceVertexError(ValueError):
     """The source vertex has no incoming arrows to assemble."""
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON record: no float, string or bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class QuiverRep:
     """Matrices on every arrow of the tilting quiver for Gr(n,2).
 
@@ -111,7 +118,7 @@ class QuiverRep:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "QuiverRep":
-        n, records = int(obj["n"]), obj["arrows"]
+        n, records = _json_int(obj["n"], "n"), obj["arrows"]
         expect = n * (n - 1) * (n - 2)  # refused before a quiver of this many arrows is built
         if n >= 4 and len(records) != expect:
             raise ValueError(f"{len(records)} arrow records, expected n(n-1)(n-2) = {expect}")
@@ -121,7 +128,7 @@ class QuiverRep:
             tail = tuple(rec["tail"])
             head = tuple(rec["head"])
             direction = 1 if head[0] == tail[0] + 1 else 2
-            a = Arrow(tail, head, direction, int(rec["rho"]))
+            a = Arrow(tail, head, direction, _json_int(rec["rho"], "rho"))
             if a in mats:
                 raise ValueError(f"two records for {a}")
             mats[a] = RatMatrix.from_json(rec["matrix"])
@@ -185,7 +192,7 @@ class GaugeElement:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "GaugeElement":
-        n, records = int(obj["n"]), obj["blocks"]
+        n, records = _json_int(obj["n"], "n"), obj["blocks"]
         expect = n * (n - 1) // 2
         if n >= 4 and len(records) != expect:
             raise ValueError(f"{len(records)} blocks, expected n(n-1)/2 = {expect}")

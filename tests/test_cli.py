@@ -7,7 +7,7 @@ import pytest
 from kq import fibers
 from kq.cli import run
 from kq.linalg import RatMatrix
-from kq.moduli import QuiverRep, embed, random_point
+from kq.moduli import QuiverRep, embed, random_gauge, random_point, scramble
 
 
 def invoke(capsys, *argv):
@@ -199,6 +199,19 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
         bad.write_text(json.dumps(dict(rep_json, arrows=stray)))
         code, _ = invoke(capsys, "check", "--rep", str(bad))
         assert code == 2, stray[-1]
+    scrambled = scramble(embed(random_point(5, "intfields")), random_gauge(5, "intfields")).to_json()
+    first = scrambled["arrows"][0]
+    bad.write_text(json.dumps(scrambled))
+    assert invoke(capsys, "check", "--rep", str(bad), "--json")[0] == 0
+    for field in (
+        {"n": 5.9},
+        {"n": "5"},
+        {"arrows": [dict(first, rho=1.7)] + scrambled["arrows"][1:]},
+        {"arrows": [dict(first, rho=True)] + scrambled["arrows"][1:]},
+    ):
+        bad.write_text(json.dumps(dict(scrambled, **field)))
+        code, _ = invoke(capsys, "check", "--rep", str(bad), "--json")
+        assert code == 2, field
     bad.write_text(json.dumps({"n": 400, "arrows": []}))  # refused by its record count
     code, _ = invoke(capsys, "check", "--rep", str(bad))
     assert code == 2

@@ -1,4 +1,4 @@
-"""Point canonicalization, banded matrices, and the symbolic evaluator."""
+"""Point canonicalization, banded matrices, and their oracle from the definitions."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from kq import fibers, linalg
 from kq.cli import run
 from kq.fibers import (
     BadWordLengthError,
-    FiberTensor,
     GrPoint,
     InvalidRankError,
     OutOfYoungError,
@@ -19,7 +18,6 @@ from kq.fibers import (
     g_matrix,
     reduce_point,
     sample_point,
-    section_apply,
     section_matrix,
     staircase,
     step_matrix,
@@ -29,7 +27,7 @@ from kq.fibers import (
 from kq.linalg import RatMatrix
 from kq.moduli import random_point
 from kq.quiver import build_quiver, containment_pairs
-from kq.tableaux import NotContainedError, Partition, dominant_weights, hom_dim
+from kq.tableaux import NotContainedError, dominant_weights, hom_dim
 
 
 def test_reduce_point_fixes_canonical_matrix():
@@ -88,23 +86,26 @@ def test_g_matrix_examples():
 
 def test_section_apply_pivot_column_raises_top_index_only():
     y = reduce_point(RatMatrix([[1, 0, 2, 3, 6], [0, 1, 4, 5, 7]]))
-    for j in range(3):
-        t = FiberTensor.basis((2, 0), j)
-        out = section_apply("f", (2, 0), 1, y, t)
-        assert out.lam == Partition((3, 0))
-        assert out.coeff(j) == 1 and len(out.terms) == 1
+    # column 1 is (1, 0): each monomial b1^a b2^j goes to b1^(a+1) b2^j alone
+    assert section_matrix("f", (2, 0), 1, y) == RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def test_section_apply_g_on_diagonal_weight_errors():
     y = reduce_point(RatMatrix([[1, 0, 2, 3], [0, 1, 4, 5]]))
     with pytest.raises(OutOfYoungError):
-        section_apply("g", (1, 1), 1, y, FiberTensor.basis((1, 1), 0))
+        section_matrix("g", (1, 1), 1, y)
 
 
 def test_section_apply_out_of_staircase():
     y = reduce_point(RatMatrix([[1, 0, 2, 3], [0, 1, 4, 5]]))
     with pytest.raises(OutOfYoungError):
-        section_apply("f", (2, 0), 1, y, FiberTensor.basis((2, 0), 0))
+        section_matrix("f", (2, 0), 1, y)
+
+
+def test_section_matrix_rejects_an_unknown_kind():
+    y = reduce_point(RatMatrix([[1, 0, 2, 3], [0, 1, 4, 5]]))
+    with pytest.raises(ValueError, match="kind"):
+        section_matrix("h", (1, 0), 1, y)
 
 
 def young_vertices(n):
@@ -132,6 +133,20 @@ def test_banded_matrices_depend_only_on_fiber_dimension():
     for rho in range(1, 7):
         assert section_matrix("f", (2, 0), rho, y) == section_matrix("f", (3, 1), rho, y)
         assert section_matrix("g", (2, 0), rho, y) == section_matrix("g", (3, 1), rho, y)
+
+
+def test_section_matrix_does_not_build_through_banded(monkeypatch):
+    """With _banded swapping the two coordinates, the banded constructors
+    go wrong on a column with a1 != a2 and the oracle does not."""
+    y = reduce_point(RatMatrix([[1, 0, 2, 3], [0, 1, 4, 5]]))
+    banded = fibers._banded
+    monkeypatch.setattr(fibers, "_banded", lambda k, horizontal, a1, a2, d: banded(k, horizontal, a2, a1, d))
+    f = section_matrix("f", (1, 0), 3, y)  # column 3 is (2, 4)
+    assert f == RatMatrix([[2, 0], [4, 2], [0, 4]])
+    assert f != f_matrix(2, y.column(3)) and f != step_matrix(y, 2, True, 3)
+    g = section_matrix("g", (1, 0), 3, y)
+    assert g == RatMatrix([[-4, 2]])
+    assert g != g_matrix(2, y.column(3)) and g != step_matrix(y, 2, False, 3)
 
 
 def test_step_tables_reject_a_non_integer_point():

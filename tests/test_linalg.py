@@ -1,4 +1,4 @@
-"""Exact matrix arithmetic and sparse fiber elements."""
+"""Exact matrix arithmetic."""
 
 import math
 import random
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kq import linalg
-from kq.fibers import FiberTensor, reduce_point, section_apply
 from kq.linalg import (
     ModPrimeEchelon,
     RatMatrix,
@@ -348,8 +347,11 @@ def test_matrix_immutability_and_hash():
 
 
 def test_lincomb_never_stores_zero():
-    y = reduce_point(RatMatrix([[1, 0, 2, 3], [0, 1, 4, 5]]))
+    a = RatMatrix([["1/2", "-2/3"], [3, "5/7"]])
+    b = RatMatrix([["1/3"], ["-4/5"]])
+    zero = linear_combination(2, 1, [("3/2", (a, b)), (-1, (a * b,)), ("-1/2", (a, b))])
+    assert zero.is_zero() and zero._d == 1 and zero._n == (0, 0)
+    assert zero == RatMatrix.zeros(2, 1) and hash(zero) == hash(RatMatrix.zeros(2, 1))
     # f for column (2, 4) on p0 - 2 p1: the p1 coefficient 1*4 - 2*2 cancels
-    u = section_apply("f", (1, 0), 3, y, FiberTensor((1, 0), {0: 1, 1: -2}))
-    assert u.terms == {0: 2, 2: -8} and u.coeff(1) == 0
-    assert FiberTensor((1, 0), {0: 0, 1: "0"}).terms == {}
+    f = RatMatrix([[2, 0], [4, 2], [0, 4]])
+    assert linear_combination(3, 1, [(1, (f, RatMatrix([[1], [-2]])))]) == RatMatrix([[2], [0], [-8]])

@@ -30,7 +30,7 @@ from kq.moduli import (
     reconstruct,
     scramble,
 )
-from kq.quiver import TiltingQuiver, build_quiver, relation_sets
+from kq.quiver import TiltingQuiver, build_quiver, p2_pairs, relation_arrow_terms, relation_set_for, relation_sets
 
 
 def canonical_point(x1, x2, x3, x4):
@@ -145,6 +145,38 @@ def test_integer_relation_check_matches_fraction_oracle(n):
             assert evaluate_relation(bad, rel) == r
         assert any(r[i, j].denominator > 1 for _, r in expect for i in range(r.rows) for j in range(r.cols))
         assert [(v.relation, v.residual) for v in check_relations(bad)] == expect
+
+
+def test_fresh_relations_are_formed_by_linear_combination(monkeypatch):
+    """relation_set_for builds equal relations as new objects, which the
+    compiled terms of the quiver do not hold: evaluate_relation forms each
+    of their residuals by linear_combination, and the residuals match the
+    cached relations' pair by pair, in relation order."""
+    n = 5
+    q = build_quiver(n)
+    cached = relation_sets(q)
+    fresh = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
+    fields = ("tail", "head", "terms", "family", "indices")
+    assert [[getattr(r, f) for f in fields] for r in fresh] == [[getattr(r, f) for f in fields] for r in cached]
+    assert not any(rel in relation_arrow_terms(q) for rel in fresh)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linear_combination(*args)
+
+    monkeypatch.setattr(moduli, "linear_combination", counted)
+    rep = scramble(embed(random_point(n, "fresh")), random_gauge(n, "fresh"))
+    assert all(evaluate_relation(rep, rel).is_zero() for rel in fresh)
+    assert len(calls) == len(fresh)
+    a = q.arrow((1, 0), 1, 3)
+    m = rep.matrices[a]
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows[0][1] += Fraction(1, 7)
+    bad = QuiverRep(n, {**rep.matrices, a: RatMatrix(rows)})
+    residuals = [evaluate_relation(bad, rel) for rel in fresh]
+    assert residuals == [evaluate_relation(bad, rel) for rel in cached]
+    assert any(not r.is_zero() for r in residuals)
 
 
 def combination_residual(rep: QuiverRep, rel) -> RatMatrix:
@@ -620,6 +652,20 @@ def test_record_counts_are_checked_before_the_quiver_is_built(monkeypatch):
         QuiverRep.from_json({"n": 400, "arrows": []})
     with pytest.raises(ValueError, match="expected n\\(n-1\\)/2 = 79800"):
         GaugeElement.from_json({"n": 400, "blocks": []})
+
+
+def test_json_readers_refuse_a_non_integer_n_or_rho():
+    rep_json = embed(random_point(4, "intfields")).to_json()
+    gauge_json = random_gauge(4, "intfields").to_json()
+    for bad in (4.0, 4.5, "4", True, None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            QuiverRep.from_json(dict(rep_json, n=bad))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            GaugeElement.from_json(dict(gauge_json, n=bad))
+    for bad in (1.7, "1", True):
+        arrows = [dict(rep_json["arrows"][0], rho=bad)] + rep_json["arrows"][1:]
+        with pytest.raises(ValueError, match="rho must be an integer"):
+            QuiverRep.from_json(dict(rep_json, arrows=arrows))
 
 
 def test_rep_shape_validation():
