@@ -11,12 +11,15 @@ matrices directly from the definitions, one column per basis monomial
 composes them along the horizontal-then-vertical staircase between two
 weights.
 
-`surjectivity_rank` certifies that these compositions span the graded
-map space, one torus weight at a time.  For each dominant weight alpha
-it evaluates the compositions of the words of content alpha that are
-nondecreasing inside each run, at seeded integer points in plain
-integer arithmetic; it eliminates mod a fixed prime until the rank
-reaches the weight's multiplicity (a sum of two-row Kostka numbers),
+`surjectivity_rank` certifies that compositions along paths of the
+quiver span the graded map space, one torus weight at a time.  For each
+dominant weight alpha it evaluates the compositions along the normal
+paths of content alpha (columns weakly decreasing from the tail,
+strictly at each horizontal -> vertical turn; over all routes there
+are exactly as many as the weight's multiplicity, a sum of two-row
+Kostka numbers), at seeded integer points in plain integer arithmetic,
+with the step tables of each point cached and shared by every pair.  It
+eliminates mod a fixed prime until the rank reaches the multiplicity,
 falls back to an exact integer rank when it does not, and compares the
 block ranks, each counted with its S_n orbit size, with `hom_dim`.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon
@@ -252,9 +256,11 @@ def theta_compose(lam, mu, word: Sequence[int], y: GrPoint) -> RatMatrix:
     return result
 
 
+@lru_cache(maxsize=None)
 def sample_point(n: int, seed, bound: int = 9) -> GrPoint:
     """Deterministic canonical point with small integer coordinates,
-    for evaluation-rank sweeps (integer arithmetic keeps them fast)."""
+    for evaluation-rank sweeps (integer arithmetic keeps them fast).
+    Cached: every pair of a sweep draws the same points."""
     rng = random.Random(f"sample:{n}:{seed}")
     rows = [[0] * n, [0] * n]
     rows[0][0] = rows[1][1] = 1
@@ -264,84 +270,110 @@ def sample_point(n: int, seed, bound: int = 9) -> GrPoint:
     return GrPoint(RatMatrix(rows))
 
 
-def _step_tables(seq: Sequence[Partition], y: GrPoint, width: int) -> list:
-    """The banded step matrices at an integer point (ValueError otherwise),
-    per staircase step and per column 1..width, as sparse integer rows
-    [(col, value), ...]."""
+@lru_cache(maxsize=None)
+def _point_steps(y: GrPoint, k: int, horizontal: bool) -> tuple:
+    """The banded step matrices on a fiber of dimension k at an integer
+    point (ValueError otherwise), one per column rho = 1..n at index
+    rho - 1.  A band row holds at most two entries, so each row is stored
+    as (c, v, e, w): value v in column c plus value w in column e, padded
+    with zeros."""
     d = y.matrix._d
-    columns = []
-    for rho in range(1, width + 1):
+    tables = []
+    for rho in range(1, y.n + 1):
         a1, a2 = y.column_ints(rho)
         if a1 % d or a2 % d:
             raise ValueError(f"sample point column {rho} is not integral")
-        columns.append((a1 // d, a2 // d))
-    tables = []
-    for tau, nxt in zip(seq, seq[1:]):
-        level = []
-        for a1, a2 in columns:
-            m = _banded(fiber_dim(tau), nxt.part(0) > tau.part(0), a1, a2, 1)
-            e, k = m._n, m.cols
-            level.append([[(c, v) for c, v in enumerate(e[i * k : (i + 1) * k]) if v] for i in range(m.rows)])
-        tables.append(level)
-    return tables
+        m = _banded(k, horizontal, a1 // d, a2 // d, 1)
+        e, c = m._n, m.cols
+        rows = []
+        for i in range(m.rows):
+            band = [(j, v) for j, v in enumerate(e[i * c : (i + 1) * c]) if v] + [(0, 0), (0, 0)]
+            rows.append(band[0] + band[1])
+        tables.append(tuple(rows))
+    return tuple(tables)
 
 
-def _block_rows(tables: list, horizontal: int, alpha: Sequence[int], d_lam: int) -> list[list[int]]:
-    """The staircase compositions at one point of the words of content
-    alpha that are nondecreasing inside the horizontal run and inside the
-    vertical run, as integer rows: one row per matrix entry (i, j), one
-    column per word.  The products share their common prefixes."""
-    remaining = list(alpha)
+def _normal_routes(lam: Partition, mu: Partition, alpha: Sequence[int]) -> tuple:
+    """The normal paths lam -> mu of content alpha (alpha[r] arrows with
+    column r + 1) as a prefix tree.
+
+    A path is normal when its columns rho weakly decrease from the tail,
+    strictly at each horizontal -> vertical turn: it contains no leading
+    term of a quadratic relation.  So its columns read alpha in
+    decreasing order and only the route, inside a >= b and below mu, is
+    free.  A node is a tuple of branches (fiber dim at the arrow's tail,
+    horizontal, rho - 1, child), with child None after the last arrow;
+    routes that cannot finish are left out.
+    """
+    rhos = [r for r in reversed(range(len(alpha))) for _ in range(alpha[r])]
+    u1, u2 = mu.padded(2)
+
+    memo: dict = {}  # subtrees shared by the routes that reach one state
+
+    def branches(i: int, a: int, b: int, after_h: bool) -> tuple:
+        if i == len(rhos):
+            return None
+        state = (i, a, b, after_h)
+        if state not in memo:
+            rho, moves = rhos[i], []
+            if a < u1:
+                moves.append((True, branches(i + 1, a + 1, b, True)))
+            if b < u2 and b < a and not (after_h and rhos[i - 1] == rho):
+                moves.append((False, branches(i + 1, a, b + 1, False)))
+            memo[state] = tuple((a - b + 1, h, rho, child) for h, child in moves if child != ())
+        return memo[state]
+
+    return branches(0, *lam.padded(2), False)
+
+
+def _normal_path_rows(y: GrPoint, routes: tuple, d_lam: int, d_mu: int) -> list[list[int]]:
+    """The compositions at one point of the paths of a `_normal_routes`
+    tree, as integer rows: one row per matrix entry (i, j), one column
+    per path.  The products share their common prefixes."""
     thetas: list[list[list[int]]] = []
+    steps: dict = {}  # _point_steps by (fiber dim, direction), without hashing the point per arrow
 
-    def descend(level: int, partial: list[list[int]], low: int):
-        if level == len(tables):
-            thetas.append(partial)
-            return
-        if level == horizontal:
-            low = 0  # the vertical run starts
-        for rho in range(low, len(remaining)):
-            if not remaining[rho]:
-                continue
-            remaining[rho] -= 1
-            product = []
-            for terms in tables[level][rho]:
-                acc = [0] * d_lam
-                for c, v in terms:
-                    acc = [a + v * b for a, b in zip(acc, partial[c])]
-                product.append(acc)
-            descend(level + 1, product, rho)
-            remaining[rho] += 1
+    def descend(node: tuple, partial: list[list[int]]):
+        for k, horizontal, rho, child in node:
+            if (k, horizontal) not in steps:
+                steps[k, horizontal] = _point_steps(y, k, horizontal)
+            product = [[v * s + w * t for s, t in zip(partial[c], partial[e])] for c, v, e, w in steps[k, horizontal][rho]]
+            if child is None:
+                thetas.append(product)
+            else:
+                descend(child, product)
 
-    descend(0, [[int(i == j) for j in range(d_lam)] for i in range(d_lam)], 0)
-    return [[t[i][j] for t in thetas] for i in range(len(thetas[0])) for j in range(d_lam)]
+    descend(routes, [[int(i == j) for j in range(d_lam)] for i in range(d_lam)])
+    return [[t[i][j] for t in thetas] for i in range(d_mu) for j in range(d_lam)]
 
 
 def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
-    """Evaluation rank of the staircase composition map, certified one
-    torus weight at a time.
+    """Evaluation rank of the composition map on the paths lam -> mu,
+    certified one torus weight at a time.
 
     Each step matrix is linear in the point column it reads, so the
-    composition theta_w of a column word w is multihomogeneous of degree
-    content(w) in the columns of a 2 x n matrix, and functions of
+    composition theta_p along a path p is multihomogeneous of degree
+    content(p) in the columns of a 2 x n matrix, and functions of
     different degrees are linearly independent: the evaluation rank
     splits into one block per weight alpha.  Permuting the columns maps
     block alpha onto block sigma(alpha) with the same rank, so only the
     dominant weights of `dominant_weights` are evaluated, each counted
-    with its S_n orbit size.  The ff and gg relations make two words
-    equal when they differ by a reordering inside the horizontal or the
-    vertical run, so a block takes only the words nondecreasing inside
-    each run.
+    with its S_n orbit size.  A block's columns are the normal paths of
+    content alpha over all routes (`_normal_routes`): the paths that
+    contain no leading term of a quadratic relation.  They form a basis
+    of the alpha part of the quotient, so there are exactly mult of
+    them and no column is spent on a relation.
 
-    The certificate is one-sided whatever the points are.  The sample
-    rank of a block is at most the dimension of the span of its
-    functions; those spans are independent subspaces of the graded map
-    space, so their dimensions sum to at most `hom_dim`, and
-    rank = sum of orbit * block rank <= hom_dim.  Equality certifies
-    that compositions of elementary maps span the whole graded piece.
-    A block's functions lie in the alpha weight space of the
-    constituents, whose dimension is mult = sum of K_{gamma, alpha}; that
-    bound only says when to stop, and sets the block's own budget.
+    The certificate is one-sided whatever the points and whatever the
+    set of paths.  The sample rank of a block is at most the dimension
+    of the span of its functions; those spans are independent subspaces
+    of the graded map space, so their dimensions sum to at most
+    `hom_dim`, and rank = sum of orbit * block rank <= hom_dim.
+    Equality certifies that compositions of elementary maps span the
+    whole graded piece.  A block's functions lie in the alpha weight
+    space of the constituents, whose dimension is mult = sum of
+    K_{gamma, alpha}; that bound only says when to stop, and sets the
+    block's own budget.
 
     Per block, points are drawn one at a time and their rows are
     eliminated mod `linalg.PRIME`, until the rank reaches mult or the
@@ -356,12 +388,8 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
     differs from its mult as [alpha, rank, mult] under `short_weights`.
     """
     lam, mu = Partition.coerce(lam), Partition.coerce(mu)
-    seq = staircase(lam, mu)
-    length = len(seq) - 1
-    horizontal = mu.part(0) - lam.part(0)
+    expected = hom_dim(lam, mu, n)  # NotContainedError unless lam < mu
     d_lam, d_mu = fiber_dim(lam), fiber_dim(mu)
-    expected = hom_dim(lam, mu, n)
-    tables: list = []  # step matrices per sample point, shared by the blocks
     rank = samples_drawn = 0
     short = []
     for alpha, orbit, mult in dominant_weights(lam, mu, n):
@@ -369,10 +397,9 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
         echelon = ModPrimeEchelon()
         rows: list[list[int]] = []
         drawn = 0
+        routes = _normal_routes(lam, mu, alpha)
         while echelon.rank < mult and drawn < budget:
-            if drawn == len(tables):
-                tables.append(_step_tables(seq, sample_point(n, f"{seed}:{drawn}"), min(n, length)))
-            for row in _block_rows(tables[drawn], horizontal, alpha, d_lam):
+            for row in _normal_path_rows(sample_point(n, f"{seed}:{drawn}"), routes, d_lam, d_mu):
                 rows.append(row)
                 if echelon.insert(row) and echelon.rank == mult:
                     break
@@ -391,7 +418,7 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
     report = {
         "lam": list(lam.padded(2)),
         "mu": list(mu.padded(2)),
-        "words": n**length,
+        "words": n ** (mu.size - lam.size),
         "samples": samples_drawn,
         "rank": rank,
         "hom_dim": expected,

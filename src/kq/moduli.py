@@ -67,6 +67,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_vertex(value, name: str) -> tuple[int, int]:
+    """A vertex field of a JSON record: a pair of integers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair of integers, got {value!r}")
+    return (_json_int(value[0], f"{name} entry"), _json_int(value[1], f"{name} entry"))
+
+
 class QuiverRep:
     """Matrices on every arrow of the tilting quiver for Gr(n,2).
 
@@ -125,8 +132,8 @@ class QuiverRep:
         q = build_quiver(n)
         mats = {}
         for rec in records:
-            tail = tuple(rec["tail"])
-            head = tuple(rec["head"])
+            tail = _json_vertex(rec["tail"], "tail")
+            head = _json_vertex(rec["head"], "head")
             direction = 1 if head[0] == tail[0] + 1 else 2
             a = Arrow(tail, head, direction, _json_int(rec["rho"], "rho"))
             if a in mats:
@@ -196,7 +203,7 @@ class GaugeElement:
         expect = n * (n - 1) // 2
         if n >= 4 and len(records) != expect:
             raise ValueError(f"{len(records)} blocks, expected n(n-1)/2 = {expect}")
-        return cls(n, {tuple(rec["vertex"]): RatMatrix.from_json(rec["matrix"]) for rec in records})
+        return cls(n, {_json_vertex(rec["vertex"], "vertex"): RatMatrix.from_json(rec["matrix"]) for rec in records})
 
 
 @dataclass(frozen=True)

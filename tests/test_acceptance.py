@@ -133,7 +133,7 @@ def test_criterion_4_ideal_presentation():
 
 
 def test_criterion_5_surjectivity_rank():
-    """Evaluation rank of staircase compositions, with a budget of at
+    """Evaluation rank of normal-path compositions, with a budget of at
     least 40 seeded points per weight, equals the map-space dimension for
     every pair with gap at most 3 at n = 4, 5, 6, and gap 4 at n = 5."""
     t0 = time.monotonic()

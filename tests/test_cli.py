@@ -208,6 +208,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
         {"n": "5"},
         {"arrows": [dict(first, rho=1.7)] + scrambled["arrows"][1:]},
         {"arrows": [dict(first, rho=True)] + scrambled["arrows"][1:]},
+        {"arrows": [dict(first, tail=[float(x) for x in first["tail"]], head=[float(x) for x in first["head"]])] + scrambled["arrows"][1:]},
+        {"arrows": [dict(first, tail=first["tail"] + [0])] + scrambled["arrows"][1:]},
     ):
         bad.write_text(json.dumps(dict(scrambled, **field)))
         code, _ = invoke(capsys, "check", "--rep", str(bad), "--json")

@@ -27,7 +27,7 @@ from kq.fibers import (
 from kq.linalg import RatMatrix
 from kq.moduli import random_point
 from kq.quiver import build_quiver, containment_pairs
-from kq.tableaux import NotContainedError, dominant_weights, hom_dim
+from kq.tableaux import NotContainedError, Partition, dominant_weights, hom_dim
 
 
 def test_reduce_point_fixes_canonical_matrix():
@@ -151,10 +151,47 @@ def test_section_matrix_does_not_build_through_banded(monkeypatch):
 
 def test_step_tables_reject_a_non_integer_point():
     y = GrPoint(RatMatrix([[1, 0, "1/2", 2], [0, 1, 3, 4]]))
-    seq = staircase((1, 0), (2, 0))
-    assert len(fibers._step_tables(seq, y, 2)[0]) == 2
     with pytest.raises(ValueError, match="column 3"):
-        fibers._step_tables(seq, y, 4)
+        fibers._point_steps(y, 2, True)
+    assert len(fibers._point_steps(GrPoint(RatMatrix([[1, 0, 1, 2], [0, 1, 3, 4]])), 2, True)) == 4
+
+
+def test_step_tables_hold_the_banded_matrices():
+    for y in (sample_point(6, "tables"), GrPoint(RatMatrix([[1, 0, 0, 2, 0], [0, 1, 0, 0, -3]]))):
+        for k, horizontal in itertools.product(range(1, 5), (True, False)):
+            if k == 1 and not horizontal:
+                continue
+            for rho, rows in enumerate(fibers._point_steps(y, k, horizontal), start=1):
+                dense = [[0] * k for _ in rows]
+                for row, (c, v, e, w) in zip(dense, rows):
+                    row[c] += v
+                    row[e] += w
+                assert RatMatrix(dense) == step_matrix(y, k, horizontal, rho), (y, k, horizontal, rho)
+
+
+def test_normal_paths_give_each_block_exactly_mult_columns():
+    """The normal paths of content alpha are a basis of the alpha weight
+    space of the quotient, so a block needs no other columns."""
+    for n in (4, 5, 6):
+        for lam, mu in containment_pairs(build_quiver(n), 2 * (n - 2)):
+            d_lam, d_mu = fibers.fiber_dim(lam), fibers.fiber_dim(mu)
+            for alpha, _, mult in dominant_weights(lam, mu, n):
+                routes = fibers._normal_routes(Partition(lam), Partition(mu), alpha)
+                rows = fibers._normal_path_rows(sample_point(n, "count"), routes, d_lam, d_mu)
+                assert len(rows) == d_lam * d_mu and all(len(row) == mult for row in rows), (n, lam, mu, alpha)
+
+
+def test_reports_do_not_depend_on_pair_order():
+    pairs = containment_pairs(build_quiver(5), 6)
+
+    def reports(order):
+        return {(tuple(lam), tuple(mu)): surjectivity_rank(5, lam, mu, 40, "order") for lam, mu in order}
+
+    forward = reports(pairs)
+    assert reports(pairs[::-1]) == forward
+    fibers.sample_point.cache_clear()
+    fibers._point_steps.cache_clear()
+    assert reports(pairs[::-1]) == forward
 
 
 def test_staircase_route():

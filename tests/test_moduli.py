@@ -666,6 +666,15 @@ def test_json_readers_refuse_a_non_integer_n_or_rho():
         arrows = [dict(rep_json["arrows"][0], rho=bad)] + rep_json["arrows"][1:]
         with pytest.raises(ValueError, match="rho must be an integer"):
             QuiverRep.from_json(dict(rep_json, arrows=arrows))
+    first, block = rep_json["arrows"][0], gauge_json["blocks"][0]
+    for bad in ([0.0, 0.0], [0, 0.0], ["0", 0], [False, 0], [0], [0, 0, 0], "00", None):
+        for field in ("tail", "head"):
+            arrows = [dict(first, **{field: bad})] + rep_json["arrows"][1:]
+            with pytest.raises(ValueError, match=field):
+                QuiverRep.from_json(dict(rep_json, arrows=arrows))
+        blocks = [dict(block, vertex=bad)] + gauge_json["blocks"][1:]
+        with pytest.raises(ValueError, match="vertex"):
+            GaugeElement.from_json(dict(gauge_json, blocks=blocks))
 
 
 def test_rep_shape_validation():
