@@ -16,19 +16,14 @@ from .tableaux import (
     is_lattice_word,
     kostka,
     lr_number,
-    pieri_col,
-    pieri_row,
     reverse_word,
-    skew_decomposition,
 )
 from .fibers import (
     GrPoint,
     f_matrix,
     g_matrix,
     reduce_point,
-    section_matrix,
     surjectivity_rank,
-    theta_compose,
 )
 from .quiver import (
     Arrow,

@@ -182,7 +182,6 @@ def _selected_pairs(q: qv.TiltingQuiver, args) -> list[tuple]:
 
 
 def _pair_reports(reports: list[dict]) -> tuple[dict, bool]:
-    reports.sort(key=lambda r: (qv.vertex_key(tuple(r["lam"])), qv.vertex_key(tuple(r["mu"]))))
     ok = all(r["ok"] for r in reports)
     if len(reports) == 1:
         return dict(reports[0]), ok

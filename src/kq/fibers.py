@@ -5,11 +5,9 @@ two-row weight lam carries a fiber of dimension lam1 - lam2 + 1 with the
 standard monomial basis: lam2 wedge factors (b2 ^ b1) followed by a
 degree lam1 - lam2 monomial in b1, b2.  This module builds the banded
 matrices of the two elementary maps (append a section to the symmetric
-part; sum over wedge pairings with a section), derives the same
-matrices directly from the definitions, one column per basis monomial
-(`section_matrix`, the test oracle for the banded formulas), and
-composes them along the horizontal-then-vertical staircase between two
-weights.
+part; sum over wedge pairings with a section).  Their oracle from the
+definitions, and the staircase composition between two weights, live
+in tests/test_fibers.py.
 
 `surjectivity_rank` certifies that compositions along paths of the
 quiver span the graded map space, one torus weight at a time.  For each
@@ -27,12 +25,11 @@ block ranks, each counted with its S_n orbit size, with `hom_dim`.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon
-from .tableaux import NotContainedError, Partition, dominant_weights, hom_dim
+from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon, _json_int
+from .tableaux import Partition, dominant_weights, hom_dim
 
 
 class RankDeficientError(ValueError):
@@ -41,22 +38,6 @@ class RankDeficientError(ValueError):
 
 class InvalidRankError(ValueError):
     """The wedge-pairing map needs a fiber of dimension at least two."""
-
-
-class OutOfYoungError(ValueError):
-    """A weight stepped outside the ambient staircase of weights."""
-
-
-class BadWordLengthError(ValueError):
-    """A column word does not match the number of staircase steps."""
-
-
-def in_young(lam, n: int) -> bool:
-    """True iff lam fits in the two-row staircase for Gr(n,2)."""
-    lam = Partition.coerce(lam)
-    if lam.num_rows > 2:
-        return False
-    return lam.part(0) <= n - 2
 
 
 def fiber_dim(lam) -> int:
@@ -93,15 +74,9 @@ class GrPoint:
     def __setattr__(self, name, value):
         raise AttributeError("GrPoint is immutable")
 
-    def column(self, rho: int) -> tuple[Fraction, Fraction]:
-        """Column rho (1-based) as the coordinate pair of the section."""
-        if not (1 <= rho <= self.n):
-            raise IndexError(rho)
-        return (self.matrix[0, rho - 1], self.matrix[1, rho - 1])
-
     def column_ints(self, rho: int) -> tuple[int, int]:
-        """Column rho (1-based) over the matrix's common denominator: the
-        integers (a1, a2) with column(rho) == (a1 / d, a2 / d)."""
+        """Column rho (1-based) over the matrix's common denominator d: the
+        integers (a1, a2) whose column is (a1 / d, a2 / d)."""
         if not (1 <= rho <= self.n):
             raise IndexError(rho)
         e = self.matrix._n
@@ -124,7 +99,7 @@ class GrPoint:
     @classmethod
     def from_json(cls, obj: Mapping) -> "GrPoint":
         m = RatMatrix(obj["matrix"])
-        if "n" in obj and obj["n"] != m.cols:
+        if "n" in obj and _json_int(obj["n"], "n") != m.cols:
             raise ValueError("declared n does not match the matrix")
         return reduce_point(m)
 
@@ -182,83 +157,16 @@ def g_matrix(k: int, x: Sequence) -> RatMatrix:
 
 
 def step_matrix(y: GrPoint, k: int, horizontal: bool, rho: int) -> RatMatrix:
-    """f_matrix(k, y.column(rho)) if horizontal, else g_matrix(k,
-    y.column(rho)), read off the point's integer form over its
+    """f_matrix(k, x) if horizontal, else g_matrix(k, x), for column rho
+    of the point as x, read off the point's integer form over its
     denominator with no Fraction built."""
     a1, a2 = y.column_ints(rho)
     return _banded(k, horizontal, a1, a2, y.matrix._d)
 
 
-def section_matrix(kind: str, lam, rho: int, y: GrPoint) -> RatMatrix:
-    """The matrix of the elementary map of the given kind ('f' or 'g')
-    for column rho of the point on the fiber at lam, filled one column
-    per basis monomial b1^a b2^j straight from the definitions; the
-    independent oracle for f_matrix / g_matrix.
-
-    'f' appends the section to the symmetric part of each monomial; 'g'
-    sums over ways of pairing one symmetric variable with the section
-    into a new wedge factor, which is then expanded over the fiber
-    basis.
-    """
-    lam = Partition.coerce(lam)
-    if kind not in ("f", "g"):
-        raise ValueError("kind must be 'f' or 'g'")
-    l1, l2 = lam.padded(2)
-    target = (l1 + 1, l2) if kind == "f" else (l1, l2 + 1)
-    if target[0] < target[1] or not in_young(Partition(target), y.n) or not in_young(lam, y.n):
-        raise OutOfYoungError(f"{lam.parts} -> {target} leaves the weight staircase")
-    x1, x2 = y.column(rho)
-    top = l1 - l2
-    rows = [[0] * (top + 1) for _ in range(fiber_dim(Partition(target)))]
-    for j in range(top + 1):
-        a = top - j  # b1 exponent of the monomial
-        if kind == "f":
-            # (b1^a b2^j) * (x1 b1 + x2 b2)
-            rows[j][j] = x1
-            rows[j + 1][j] = x2
-        else:
-            # pair each symmetric variable with the section:
-            #   b1 ^ (x1 b1 + x2 b2) = -x2 (b2 ^ b1),  a choices
-            #   b2 ^ (x1 b1 + x2 b2) = +x1 (b2 ^ b1),  j choices
-            if a:
-                rows[j][j] = -a * x2
-            if j:
-                rows[j - 1][j] = j * x1
-    return RatMatrix(rows)
-
-
-def staircase(lam, mu) -> list[Partition]:
-    """The unique increasing weight path from lam to mu through
-    (mu1, lam2): all horizontal steps first, then all vertical steps."""
-    lam, mu = Partition.coerce(lam), Partition.coerce(mu)
-    if not (mu.contains(lam) and mu != lam):
-        raise NotContainedError(f"{lam.parts} is not strictly contained in {mu.parts}")
-    l1, l2 = lam.padded(2)
-    u1, u2 = mu.padded(2)
-    seq = [Partition((l1 + k, l2)) for k in range(u1 - l1 + 1)]
-    seq += [Partition((u1, l2 + k)) for k in range(1, u2 - l2 + 1)]
-    return seq
-
-
-def theta_compose(lam, mu, word: Sequence[int], y: GrPoint) -> RatMatrix:
-    """Product of the banded matrices along the staircase from lam to mu,
-    one column index per step, consumed left to right (first letters feed
-    the horizontal steps).  Shape: fiber dim at mu by fiber dim at lam."""
-    lam, mu = Partition.coerce(lam), Partition.coerce(mu)
-    if not (in_young(lam, y.n) and in_young(mu, y.n)):
-        raise OutOfYoungError("weights must lie in the ambient staircase")
-    seq = staircase(lam, mu)
-    if len(word) != len(seq) - 1:
-        raise BadWordLengthError(f"need {len(seq) - 1} columns, got {len(word)}")
-    result = RatMatrix.identity(fiber_dim(lam))
-    for tau, nxt, rho in zip(seq, seq[1:], word):
-        result = step_matrix(y, fiber_dim(tau), nxt.part(0) > tau.part(0), rho) * result
-    return result
-
-
 @lru_cache(maxsize=None)
-def sample_point(n: int, seed, bound: int = 9) -> GrPoint:
-    """Deterministic canonical point with small integer coordinates,
+def sample_point(n: int, seed) -> GrPoint:
+    """Deterministic canonical point with integer coordinates in [-9, 9],
     for evaluation-rank sweeps (integer arithmetic keeps them fast).
     Cached: every pair of a sweep draws the same points."""
     rng = random.Random(f"sample:{n}:{seed}")
@@ -266,7 +174,7 @@ def sample_point(n: int, seed, bound: int = 9) -> GrPoint:
     rows[0][0] = rows[1][1] = 1
     for j in range(2, n):
         for i in range(2):
-            rows[i][j] = rng.randint(-bound, bound)
+            rows[i][j] = rng.randint(-9, 9)
     return GrPoint(RatMatrix(rows))
 
 

@@ -52,6 +52,13 @@ def rat_to_json(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON record: no float, string or bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class RatMatrix:
     """Immutable dense matrix with exact rational entries.
 
@@ -229,8 +236,9 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RatMatrix":
+        shape = (_json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols"))
         m = cls(obj["entries"])
-        if m.shape != (obj["rows"], obj["cols"]):
+        if m.shape != shape:
             raise ValueError("declared shape does not match entries")
         return m
 

@@ -33,7 +33,7 @@ from typing import Mapping
 # f_matrix and g_matrix stay bound here, where the benchmark tracer of
 # kqbench/ looks them up, though embed builds its matrices by step_matrix.
 from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, step_matrix  # noqa: F401
-from .linalg import RatMatrix, linear_combination
+from .linalg import RatMatrix, _json_int, linear_combination
 from .quiver import Arrow, Path, RelationElement, TiltingQuiver, build_quiver, relation_arrow_terms, relation_sets
 
 SOURCE = (0, 0)
@@ -58,13 +58,6 @@ class NotInImageError(ValueError):
 
 class SourceVertexError(ValueError):
     """The source vertex has no incoming arrows to assemble."""
-
-
-def _json_int(value, name: str) -> int:
-    """An integer field of a JSON record: no float, string or bool."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _json_vertex(value, name: str) -> tuple[int, int]:

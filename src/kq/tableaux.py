@@ -2,15 +2,16 @@
 
 Partitions, skew shapes and semistandard (skew) tableaux, reverse words
 and the lattice-word condition, Littlewood-Richardson numbers by direct
-tableau enumeration, Pieri rules, dimensions of irreducible GL(n)
-representations by the hook-content formula, the closed-form list
-of irreducible constituents of a two-row skew shape, two-row Kostka
-numbers, and the dominant torus weights of the graded map spaces.
+tableau enumeration, dimensions of irreducible GL(n) representations by
+the hook-content formula, the closed-form list of irreducible
+constituents of a two-row skew shape, two-row Kostka numbers, and the
+dominant torus weights of the graded map spaces.  The skew
+decomposition by enumeration and the Pieri rules, the oracles for
+these, live in tests/test_tableaux.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -316,27 +317,6 @@ def lr_number(lam, gam, mu) -> int:
     return _lr_fillings(shape, gam.parts)
 
 
-def skew_decomposition(shape: SkewShape) -> list[tuple[Partition, int]]:
-    """Constituents (gamma, multiplicity) of the skew shape.
-
-    Enumerates all lattice fillings of the shape; the content of each is
-    automatically a partition.  Entries never exceed the row index of
-    their box, so the number of rows of the outer shape bounds them.
-    """
-    d = shape.size
-    if d == 0:
-        return [(Partition(), 1)]
-    max_entry = shape.num_rows
-    counts: dict[tuple[int, ...], int] = {}
-    for gam in _partitions_of(d, max_parts=max_entry):
-        m = _lr_fillings(shape, gam)
-        if m:
-            counts[gam] = m
-    out = [(Partition(g), m) for g, m in counts.items()]
-    out.sort(key=lambda pair: pair[0].parts)
-    return out
-
-
 def _partitions_of(d: int, max_parts: int, cap: int | None = None) -> list[tuple[int, ...]]:
     if d == 0:
         return [()]
@@ -348,49 +328,6 @@ def _partitions_of(d: int, max_parts: int, cap: int | None = None) -> list[tuple
         for rest in _partitions_of(d - first, max_parts - 1, first):
             out.append((first,) + rest)
     return out
-
-
-def pieri_row(lam, m: int, max_rows: int) -> list[Partition]:
-    """Partitions with at most max_rows rows obtained by adding m boxes to
-    lam, no two in the same column."""
-    return _pieri(Partition.coerce(lam), m, max_rows, same="column")
-
-
-def pieri_col(lam, m: int, max_rows: int) -> list[Partition]:
-    """Analogue of pieri_row with no two new boxes in the same row."""
-    return _pieri(Partition.coerce(lam), m, max_rows, same="row")
-
-
-def _pieri(lam: Partition, m: int, max_rows: int, same: str) -> list[Partition]:
-    if m < 0:
-        raise ValueError("cannot add a negative number of boxes")
-    base = lam.padded(max_rows)
-    if len(lam.parts) > max_rows:
-        raise ValueError(f"{lam} has more than {max_rows} rows")
-    results = set()
-    if same == "column":
-        # distribute m boxes over rows, at most (row above's old length - own
-        # old length) extra per row except the first; the "no two in a column"
-        # condition is new_r <= old_{r-1}
-        for comp in itertools.product(range(m + 1), repeat=max_rows):
-            if sum(comp) != m:
-                continue
-            new = tuple(base[r] + comp[r] for r in range(max_rows))
-            if any(new[r] < new[r + 1] for r in range(max_rows - 1)):
-                continue
-            if any(r > 0 and new[r] > base[r - 1] for r in range(max_rows)):
-                continue
-            results.add(new)
-    else:
-        # no two new boxes in the same row: each row gains 0 or 1 box
-        for comp in itertools.product((0, 1), repeat=max_rows):
-            if sum(comp) != m:
-                continue
-            new = tuple(base[r] + comp[r] for r in range(max_rows))
-            if any(new[r] < new[r + 1] for r in range(max_rows - 1)):
-                continue
-            results.add(new)
-    return sorted((Partition(p) for p in results), key=lambda p: p.padded(max_rows))
 
 
 def gl_dimension(gam, n: int) -> int:
@@ -417,7 +354,7 @@ def gamma_set(lam, mu) -> list[Partition]:
     differences, the list runs from (max{m1,m2}, min{m1,m2}) in steps of
     (+1, -1) down to (m1+m2, 0) when the rows of the skew shape do not
     overlap, and stops at the overlap-forced lower bound otherwise.  The
-    enumeration in skew_decomposition is the test oracle for this.
+    enumeration in tests/test_tableaux.py is the oracle for this.
     """
     lam, mu = Partition.coerce(lam), Partition.coerce(mu)
     if lam.num_rows > 2 or mu.num_rows > 2:

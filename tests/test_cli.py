@@ -8,6 +8,7 @@ from kq import fibers
 from kq.cli import run
 from kq.linalg import RatMatrix
 from kq.moduli import QuiverRep, embed, random_gauge, random_point, scramble
+from kq.quiver import vertex_key
 
 
 def invoke(capsys, *argv):
@@ -19,6 +20,11 @@ def invoke(capsys, *argv):
 def invoke_json(capsys, *argv):
     code, out = invoke(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+def in_vertex_key_order(reports):
+    keys = [(vertex_key(tuple(r["lam"])), vertex_key(tuple(r["mu"]))) for r in reports]
+    return keys == sorted(keys)
 
 
 def test_lr(capsys):
@@ -107,6 +113,7 @@ def test_verify_kernel_sweep(capsys):
     code, report = invoke_json(capsys, "verify-kernel", "--n", "4", "--max-degree", "3")
     assert code == 0 and report["ok"]
     assert all(r["ok"] for r in report["results"]["pairs"])
+    assert in_vertex_key_order(report["results"]["pairs"])
 
 
 def test_verify_surjectivity_single_pair(capsys):
@@ -210,6 +217,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
         {"arrows": [dict(first, rho=True)] + scrambled["arrows"][1:]},
         {"arrows": [dict(first, tail=[float(x) for x in first["tail"]], head=[float(x) for x in first["head"]])] + scrambled["arrows"][1:]},
         {"arrows": [dict(first, tail=first["tail"] + [0])] + scrambled["arrows"][1:]},
+        {"arrows": [dict(first, matrix=dict(first["matrix"], rows=2.0))] + scrambled["arrows"][1:]},
+        {"arrows": [dict(first, matrix=dict(first["matrix"], cols=True))] + scrambled["arrows"][1:]},
     ):
         bad.write_text(json.dumps(dict(scrambled, **field)))
         code, _ = invoke(capsys, "check", "--rep", str(bad), "--json")
@@ -218,6 +227,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
     code, _ = invoke(capsys, "check", "--rep", str(bad))
     assert code == 2
     point_json = random_point(4, "p").to_json()
+    bad.write_text(json.dumps(dict(point_json, n=4.0)))
+    code, _ = invoke(capsys, "embed", "--point", str(bad))
+    assert code == 2
     point_json["matrix"][0][2] = "1/0"
     bad.write_text(json.dumps(point_json))
     code, _ = invoke(capsys, "embed", "--point", str(bad))
@@ -269,6 +281,7 @@ def test_verify_surjectivity_json_is_byte_identical(capsys):
     code2, out2 = invoke(capsys, *args)
     assert code1 == code2 == 0 and out1 == out2
     assert all(r["status"] == "ok" for r in json.loads(out1)["results"]["pairs"])
+    assert in_vertex_key_order(json.loads(out1)["results"]["pairs"])
 
 
 def test_threads_flag_preserves_results(capsys):

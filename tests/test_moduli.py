@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kq import moduli, quiver
-from kq.fibers import reduce_point
+from kq.fibers import GrPoint, reduce_point
 from kq.linalg import RatMatrix, linear_combination
 from kq.moduli import (
     GaugeElement,
@@ -657,11 +657,18 @@ def test_record_counts_are_checked_before_the_quiver_is_built(monkeypatch):
 def test_json_readers_refuse_a_non_integer_n_or_rho():
     rep_json = embed(random_point(4, "intfields")).to_json()
     gauge_json = random_gauge(4, "intfields").to_json()
+    point_json = random_point(4, "intfields").to_json()
     for bad in (4.0, 4.5, "4", True, None):
         with pytest.raises(ValueError, match="n must be an integer"):
             QuiverRep.from_json(dict(rep_json, n=bad))
         with pytest.raises(ValueError, match="n must be an integer"):
             GaugeElement.from_json(dict(gauge_json, n=bad))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            GrPoint.from_json(dict(point_json, n=bad))
+    matrix_json = rep_json["arrows"][0]["matrix"]  # a 2 x 1 matrix
+    for field, bad in (("rows", 2.0), ("rows", "2"), ("cols", True), ("cols", 1.0)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RatMatrix.from_json(dict(matrix_json, **{field: bad}))
     for bad in (1.7, "1", True):
         arrows = [dict(rep_json["arrows"][0], rho=bad)] + rep_json["arrows"][1:]
         with pytest.raises(ValueError, match="rho must be an integer"):

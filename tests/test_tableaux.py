@@ -19,11 +19,34 @@ from kq.tableaux import (
     is_lattice_word,
     kostka,
     lr_number,
-    pieri_col,
-    pieri_row,
     reverse_word,
-    skew_decomposition,
 )
+
+
+def skew_decomposition(shape):
+    """Constituents (gamma, multiplicity) of the skew shape, by counting
+    its lattice fillings of every content.  Entries never exceed the row
+    index of their box, so gamma has at most as many rows as the shape."""
+    gammas = _partitions_up_to(shape.size, shape.num_rows, shape.size)
+    counts = [(Partition(g), lr_number(shape.inner, g, shape.outer)) for g in gammas]
+    return sorted(((g, m) for g, m in counts if m), key=lambda pair: pair[0].parts)
+
+
+def pieri_row(lam, m, max_rows):
+    """Partitions with at most max_rows rows obtained by adding m boxes to
+    lam, no two in the same column: row r grows to at most the old row r - 1."""
+    base = Partition.coerce(lam).padded(max_rows)
+    gains = [gain for gain in itertools.product(range(m + 1), repeat=max_rows) if sum(gain) == m]
+    grown = [tuple(map(sum, zip(base, gain))) for gain in gains]
+    return [Partition(new) for new in grown if all(new[r] <= base[r - 1] for r in range(1, max_rows))]
+
+
+def pieri_col(lam, m, max_rows):
+    """Analogue of pieri_row with no two new boxes in the same row."""
+    base = Partition.coerce(lam).padded(max_rows)
+    gains = [gain for gain in itertools.product((0, 1), repeat=max_rows) if sum(gain) == m]
+    grown = [tuple(map(sum, zip(base, gain))) for gain in gains]
+    return [Partition(new) for new in grown if all(new[r] <= new[r - 1] for r in range(1, max_rows))]
 
 
 def two_row_partitions(max_size, max_part=None):
