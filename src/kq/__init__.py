@@ -13,10 +13,8 @@ from .tableaux import (
     gamma_set,
     gl_dimension,
     hom_dim,
-    is_lattice_word,
     kostka,
     lr_number,
-    reverse_word,
 )
 from .fibers import (
     GrPoint,

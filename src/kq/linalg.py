@@ -181,10 +181,6 @@ class RatMatrix:
         prod = _int_product(self._n, other._n, self._rows, self._cols, other._cols)
         return RatMatrix._raw(self._rows, other._cols, prod, self._d * other._d)
 
-    def transpose(self) -> "RatMatrix":
-        e, c, r = self._n, self._cols, self._rows
-        return RatMatrix._raw(c, r, tuple(e[j * c + i] for i in range(c) for j in range(r)), self._d)
-
     def is_zero(self) -> bool:
         return not any(self._n)
 

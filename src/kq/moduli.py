@@ -34,7 +34,7 @@ from typing import Mapping
 # kqbench/ looks them up, though embed builds its matrices by step_matrix.
 from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, step_matrix  # noqa: F401
 from .linalg import RatMatrix, _json_int, linear_combination
-from .quiver import Arrow, Path, RelationElement, TiltingQuiver, build_quiver, relation_arrow_terms, relation_sets
+from .quiver import Arrow, RelationElement, TiltingQuiver, build_quiver, relation_arrow_terms, relation_sets
 
 SOURCE = (0, 0)
 
@@ -95,15 +95,6 @@ class QuiverRep:
 
     def matrix(self, a: Arrow) -> RatMatrix:
         return self.matrices[a]
-
-    def path_matrix(self, p: Path) -> RatMatrix:
-        """Product of the arrow matrices, rightmost factor first."""
-        if not p.arrows:
-            raise ValueError("empty path has no endpoint data")
-        m = self.matrices[p.arrows[0]]
-        for a in p.arrows[1:]:
-            m = self.matrices[a] * m
-        return m
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuiverRep):
@@ -166,17 +157,6 @@ class GaugeElement:
     def identity(cls, n: int) -> "GaugeElement":
         q = build_quiver(n)
         return cls._trusted(n, {v: RatMatrix.identity(q.vertex_dim(v)) for v in q.vertices})
-
-    def inverse(self) -> "GaugeElement":
-        # invert() raises on a singular block, so every result is invertible
-        return GaugeElement._trusted(self.n, {v: b.invert() for v, b in self.blocks.items()})
-
-    def compose(self, other: "GaugeElement") -> "GaugeElement":
-        """The gauge acting as `self` after `other`."""
-        if self.n != other.n:
-            raise ValueError("sizes differ")
-        # a product of invertible blocks is invertible
-        return GaugeElement._trusted(self.n, {v: self.blocks[v] * other.blocks[v] for v in self.blocks})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaugeElement):
@@ -280,15 +260,14 @@ _zeros = lru_cache(maxsize=None)(RatMatrix.zeros)  # immutable, so one per shape
 
 @lru_cache(maxsize=None)
 def _relation_bound(q: TiltingQuiver) -> tuple[int, int]:
-    """Over the relations of relation_arrow_terms: the largest sum of
-    |coefficient| * (dim of the vertex the path passes) over a relation's
-    terms, and the largest number of terms."""
+    """Over the terms (c, first, second) of relation_arrow_terms: the
+    largest sum over a relation of |c| * (dim of the vertex at the head of
+    the first arrow, which the path passes), and the largest number of
+    terms of a relation."""
     weight = most_terms = 0
-    for compiled in relation_arrow_terms(q).values():
-        terms = compiled[2:]
-        middle = (q.vertex_dim(q.arrows[first].head) for first in terms[1::3])
-        weight = max(weight, sum(abs(c) * k for c, k in zip(terms[::3], middle)))
-        most_terms = max(most_terms, len(terms) // 3)
+    for terms in relation_arrow_terms(q).values():
+        weight = max(weight, sum(abs(c) * q.vertex_dim(q.arrows[first].head) for c, first, _ in terms))
+        most_terms = max(most_terms, len(terms))
     return weight, most_terms
 
 
@@ -331,18 +310,19 @@ def evaluate_relation(rep: QuiverRep, rel: RelationElement) -> RatMatrix:
     """The matrix value of a relation element on the representation,
     summed in integers over one common denominator.
 
-    A relation of relation_sets is first tested for zero one residual
-    row at a time: row i of D times the residual (see _packed_arrows),
-    packed like the arrow rows, is sum_t w_t * sum_k A_t[i][k] * b_k with
+    A relation of relation_sets is first tested for zero from its terms
+    (c, first, second) in relation_arrow_terms, one residual row at a
+    time: row i of D times the residual (see _packed_arrows), packed like
+    the arrow rows, is sum_t w_t * sum_k A_t[i][k] * b_k with
     w_t = c_t * D / (dA_t dB_t) and b_k the packed rows of B_t.  Every
     entry x_j of the row has |x_j| < 2**s, so the packed value
     sum_j x_j 2**(j*s) is 0 only if x_0 is a multiple of 2**s, that is
     0, and so on up the row: one integer comparison per row is exact.
-    A nonzero residual is then formed by linear_combination."""
-    compiled = relation_arrow_terms(rep.quiver).get(rel)
-    if compiled is not None:
-        d_head, d_tail = compiled[0], compiled[1]
-        terms = list(zip(compiled[2::3], compiled[3::3], compiled[4::3]))
+    A nonzero residual, or any relation element that relation_sets did
+    not list, is formed by linear_combination."""
+    d_head, d_tail = rep.quiver.vertex_dim(rel.head), rep.quiver.vertex_dim(rel.tail)
+    terms = relation_arrow_terms(rep.quiver).get(rel)
+    if terms is not None:
         dens, rows, packed = _packed_arrows(rep)
         deltas = [dens[first] * dens[second] for _, first, second in terms]
         common = lcm(*deltas)
@@ -352,9 +332,6 @@ def evaluate_relation(rep: QuiverRep, rel: RelationElement) -> RatMatrix:
             acc = [x + w * sum(map(mul, r, b)) for x, r in zip(acc, rows[second])]
         if not any(acc):
             return _zeros(d_head, d_tail)
-    else:
-        d_head = rep.quiver.vertex_dim(rel.head)
-        d_tail = rep.quiver.vertex_dim(rel.tail)
     terms = [(c, [rep.matrices[a] for a in reversed(p.arrows)]) for p, c in rel.terms.items()]
     return linear_combination(d_head, d_tail, terms)
 

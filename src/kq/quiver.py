@@ -5,9 +5,14 @@ every pair (lam, lam + e_i) of adjacent vertices there are n parallel
 arrows, one per column index.  The relation ideal is generated in path
 degree two by four coefficient families (commuting horizontal pairs,
 commuting vertical pairs, anticommuting pairs through a diagonal vertex,
-and a three-term exchange around each square).  Graded slices of the
-ideal are computed by exact sparse elimination over the monomial path
-basis, extending lower-degree slices one arrow at a time.
+and a three-term exchange around each square).  The degree-two relations
+are one integer table, relation_rows: per relation its index pair and
+its terms (c, first, second), first and second indices into q.arrows.
+The relation elements, their cached terms for the relation check in
+kq.moduli, and the degree-two ideal slices are all read from it.
+Graded slices of the ideal are computed by exact sparse elimination over
+the monomial path basis, extending lower-degree slices one arrow at a
+time.
 
 Slices hold no Path objects.  A path of L arrows has the column
 sum(letter_i * (2n)**(L-1-i)), letter = 2(rho - 1) + direction - 1, the
@@ -199,9 +204,9 @@ class TiltingQuiver:
         for a in arrows:
             self._out[a.tail].append(a)
             self._in[a.head].append(a)
+        self._index = {(a.tail, a.direction, a.rho): k for k, a in enumerate(arrows)}
         self._ideal_cache: dict = {}
-        self._relations: list[RelationElement] | None = None
-        self._relation_terms: dict | None = None
+        self._relations: dict[RelationElement, Terms] | None = None  # see relation_arrow_terms
 
     def arrows_from(self, v) -> list[Arrow]:
         return self._out[tuple(v)]
@@ -210,9 +215,11 @@ class TiltingQuiver:
         return self._in[tuple(v)]
 
     def arrow(self, tail, direction: int, rho: int) -> Arrow:
-        tail = tuple(tail)
-        head = (tail[0] + 1, tail[1]) if direction == 1 else (tail[0], tail[1] + 1)
-        return Arrow(tail, head, direction, rho)
+        """The quiver's own arrow from tail in a direction and column."""
+        k = self._index.get((tuple(tail), direction, rho))
+        if k is None:
+            raise ValueError(f"no arrow from {tuple(tail)} with direction {direction} and column {rho}")
+        return self.arrows[k]
 
     def vertex_dim(self, v) -> int:
         v = tuple(v)
@@ -244,6 +251,10 @@ RELATION_TERMS = {
     "diag": ((1, 2, False), (1, 2, True)),
     "square": ((1, 2, False), (2, 1, True), (2, 1, False)),
 }
+
+# One relation's terms (c, first, second): the integer coefficient and the
+# indices in q.arrows of the path's first and second arrows.
+Terms = tuple[tuple[int, int, int], ...]
 
 
 def p2_family(q: TiltingQuiver, lam, mu) -> str | None:
@@ -279,60 +290,61 @@ def family_coefficients(family: str, lam) -> tuple[int, ...]:
     return (1, 1) if family == "diag" else (1, -1)
 
 
-def relation_set_for(q: TiltingQuiver, lam, mu) -> list[RelationElement]:
-    """The basis of degree-two relations from lam to mu (empty if the
-    pair is not two steps apart).  The square family takes every index
-    pair (i, j); the others are symmetric up to sign, so they take
-    i <= j, and 'ff'/'gg' vanish at i == j."""
-    lam, mu = tuple(lam), tuple(mu)
-    fam = p2_family(q, lam, mu)
-    if fam is None:
+def relation_rows(q: TiltingQuiver, lam, family: str | None) -> list[tuple[tuple[int, int], Terms]]:
+    """The degree-two relations of a family at lam as integer rows
+    ((i, j), terms), equal paths merged and zero terms dropped (no rows
+    for family None).  The square family takes every index pair (i, j);
+    the others are symmetric up to sign, so they take i <= j, and
+    'ff'/'gg' vanish at i == j."""
+    if family is None:
         return []
-    steps = list(zip(RELATION_TERMS[fam], family_coefficients(fam, lam)))
-    out = []
+    lam, index, arrows = tuple(lam), q._index, q.arrows
+    steps = list(zip(RELATION_TERMS[family], family_coefficients(family, lam)))
+    rows = []
     for i in range(1, q.n + 1):
-        for j in range(1 if fam == "square" else i, q.n + 1):
-            terms: dict[Path, int] = {}
+        for j in range(1 if family == "square" else i, q.n + 1):
+            terms: dict[tuple[int, int], int] = {}
             for (first, second, swap), c in steps:
-                a = q.arrow(lam, first, j if swap else i)
-                p = Path((a, q.arrow(a.head, second, i if swap else j)))
-                terms[p] = terms.get(p, 0) + c
-            rel = RelationElement(lam, mu, terms, fam, (i, j))
-            if rel.terms:
-                out.append(rel)
-    return out
+                a = index[lam, first, j if swap else i]
+                path = (a, index[arrows[a].head, second, i if swap else j])
+                terms[path] = terms.get(path, 0) + c
+            if any(terms.values()):
+                rows.append(((i, j), tuple((c, a, b) for (a, b), c in terms.items() if c)))
+    return rows
 
 
-def _relation_list(q: TiltingQuiver) -> list[RelationElement]:
+def _relation_element(q: TiltingQuiver, family: str, row) -> RelationElement:
+    """The relation element of one row of relation_rows, on q's arrows."""
+    indices, terms = row
+    arrows = q.arrows
+    paths = {Path((arrows[a], arrows[b])): c for c, a, b in terms}
+    return RelationElement(arrows[terms[0][1]].tail, arrows[terms[0][2]].head, paths, family, indices)
+
+
+def relation_set_for(q: TiltingQuiver, lam, mu) -> list[RelationElement]:
+    """The basis of degree-two relations from lam to mu, as new elements
+    (empty if the pair is not two steps apart)."""
+    family = p2_family(q, lam, mu)
+    return [_relation_element(q, family, row) for row in relation_rows(q, lam, family)]
+
+
+def relation_arrow_terms(q: TiltingQuiver) -> dict[RelationElement, Terms]:
+    """Every degree-two relation of the quiver, in p2_pairs order, mapped
+    to its relation_rows terms (c, first, second).  Built once per quiver,
+    without a relation_sets call."""
     if q._relations is None:
-        q._relations = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
+        q._relations = {
+            _relation_element(q, family, row): row[1]
+            for lam, _, family in p2_pairs(q)
+            for row in relation_rows(q, lam, family)
+        }
     return q._relations
 
 
 def relation_sets(q: TiltingQuiver) -> list[RelationElement]:
     """All degree-two relation basis elements of the quiver, built once
     per quiver; each call returns a fresh list."""
-    return list(_relation_list(q))
-
-
-def relation_arrow_terms(q: TiltingQuiver) -> dict[RelationElement, tuple[int, ...]]:
-    """Every relation that relation_sets lists, keyed by the element
-    itself, as one flat tuple: the dims at its head and at its tail, then
-    per term its integer coefficient and the indices in q.arrows of the
-    path's first and second arrows.  Built once per quiver, without a
-    relation_sets call."""
-    if q._relation_terms is None:
-        index = {a: k for k, a in enumerate(q.arrows)}
-        compiled = {}
-        for rel in _relation_list(q):
-            flat = [q.vertex_dim(rel.head), q.vertex_dim(rel.tail)]
-            for p, c in rel.terms.items():
-                assert c.denominator == 1
-                first, second = p.arrows
-                flat += (int(c), index[first], index[second])
-            compiled[rel] = tuple(flat)
-        q._relation_terms = compiled
-    return q._relation_terms
+    return list(relation_arrow_terms(q))
 
 
 def path_count(q: TiltingQuiver, lam, mu) -> int:
@@ -411,13 +423,9 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
     radix = 2 * q.n
     ech = SparseEchelon()
     if length == 2:
-        for rel in relation_set_for(q, lam, mu):
-            vec = {}
-            for p, c in rel.terms.items():
-                assert c.denominator == 1
-                a, b = p.arrows
-                vec[a.letter * radix + b.letter] = int(c)
-            ech.insert(vec)
+        arrows = q.arrows
+        for _, terms in relation_rows(q, lam, p2_family(q, lam, mu)):
+            ech.insert({arrows[a].letter * radix + arrows[b].letter: c for c, a, b in terms})
     elif length > 2:
         extensions = []  # (sub-slice, column scale, column offset)
         for a in q.arrows_into(mu):

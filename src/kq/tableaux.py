@@ -1,10 +1,10 @@
 """Young diagram combinatorics.
 
-Partitions, skew shapes and semistandard (skew) tableaux, reverse words
-and the lattice-word condition, Littlewood-Richardson numbers by direct
-tableau enumeration, dimensions of irreducible GL(n) representations by
-the hook-content formula, the closed-form list of irreducible
-constituents of a two-row skew shape, two-row Kostka numbers, and the
+Partitions, skew shapes and semistandard (skew) tableaux,
+Littlewood-Richardson numbers by direct enumeration of lattice fillings,
+dimensions of irreducible GL(n) representations by the hook-content
+formula, the closed-form list of irreducible constituents of a two-row
+skew shape, two-row Kostka numbers, and the
 dominant torus weights of the graded map spaces.  The skew
 decomposition by enumeration and the Pieri rules, the oracles for
 these, live in tests/test_tableaux.py.
@@ -186,10 +186,6 @@ class SkewTableau:
             raise IndexError((r, c))
         return self.rows[r][c - lo]
 
-    def reverse_word(self) -> tuple[int, ...]:
-        """Rows top to bottom, each read right to left."""
-        return tuple(x for row in self.rows for x in reversed(row))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, SkewTableau):
             return self.shape == other.shape and self.rows == other.rows
@@ -203,20 +199,6 @@ class SkewTableau:
         for (lo, _), row in zip(self.shape.row_bounds(), self.rows):
             lines.append("." * lo + "".join(str(x) for x in row))
         return "SkewTableau(" + "|".join(lines) + ")"
-
-
-def reverse_word(t: SkewTableau) -> tuple[int, ...]:
-    return t.reverse_word()
-
-
-def is_lattice_word(word: Sequence[int]) -> bool:
-    """Every prefix has at least as many i's as (i+1)'s, for all i >= 1."""
-    counts: dict[int, int] = {}
-    for x in word:
-        counts[x] = counts.get(x, 0) + 1
-        if x > 1 and counts[x] > counts.get(x - 1, 0):
-            return False
-    return True
 
 
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> list[SkewTableau]:

@@ -24,6 +24,7 @@ from kq.quiver import (
     p2_pairs,
     path_count,
     quotient_dim,
+    relation_rows,
     relation_set_for,
     relation_sets,
     square_coefficients,
@@ -166,6 +167,44 @@ def test_square_relation_terms():
     fg_swapped = Path((q.arrow((2, 0), 2, 2), q.arrow((2, 1), 1, 1)))
     fg = Path((q.arrow((2, 0), 2, 1), q.arrow((2, 1), 1, 2)))
     assert r.terms == {gf: 2, fg_swapped: -3, fg: 1}
+
+
+def test_relation_sets_construct_no_arrow(monkeypatch):
+    """The relations are built on the quiver's own arrows: a fresh quiver's
+    relation_sets makes no Arrow, and every path arrow is one of q.arrows."""
+    q = TiltingQuiver(6)
+    made = []
+    monkeypatch.setattr(Arrow, "__post_init__", lambda self: made.append(self))
+    rels = relation_sets(q)
+    assert rels and made == []
+    own = set(map(id, q.arrows))
+    assert all(id(a) in own for rel in rels for p in rel.terms for a in p.arrows)
+
+
+def test_arrow_lookup_returns_the_quivers_arrow():
+    q = build_quiver(5)
+    for a in q.arrows:
+        assert q.arrow(list(a.tail), a.direction, a.rho) is a
+    for tail, direction, rho in [((0, 0), 2, 1), ((0, 0), 1, 0), ((0, 0), 1, 6), ((3, 3), 1, 1), ((4, 0), 1, 1)]:
+        with pytest.raises(ValueError, match="no arrow"):
+            q.arrow(tail, direction, rho)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_relation_rows_are_the_relation_elements(n):
+    """Each row of the integer table, mapped through q.arrows, is the
+    matching relation_set_for element: same indices, and the same terms
+    in the same order with the same coefficients."""
+    q = build_quiver(n)
+    for lam, mu, family in p2_pairs(q):
+        rows = relation_rows(q, lam, family)
+        rels = relation_set_for(q, lam, mu)
+        assert len(rows) == len(rels) > 0
+        for (indices, terms), rel in zip(rows, rels):
+            assert (rel.tail, rel.head, rel.family, rel.indices) == (lam, mu, family, indices)
+            expect = [(c, Path((q.arrows[a], q.arrows[b]))) for c, a, b in terms]
+            assert expect == [(c, p) for p, c in rel.terms.items()]
+            assert all(type(c) is int and c for c, _, _ in terms)
 
 
 def test_graded_ideal_dims_n4():

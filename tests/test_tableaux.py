@@ -16,10 +16,8 @@ from kq.tableaux import (
     gamma_set,
     gl_dimension,
     hom_dim,
-    is_lattice_word,
     kostka,
     lr_number,
-    reverse_word,
 )
 
 
@@ -97,27 +95,12 @@ def test_enumerate_ssyt_deterministic_and_unique():
 WORKED_SHAPE = SkewShape((3, 2, 2, 1), (6, 4, 4, 2))
 
 
-def test_reverse_word_of_worked_tableau():
-    t = SkewTableau(WORKED_SHAPE, [(1, 1, 3), (1, 2), (2, 3), (1,)])
-    assert reverse_word(t) == (3, 1, 1, 2, 1, 3, 2, 1)
-    assert not is_lattice_word(reverse_word(t))
-
-
-def test_reverse_word_after_swapping_corner_entries():
-    t = SkewTableau(WORKED_SHAPE, [(1, 1, 1), (1, 2), (2, 3), (3,)])
-    assert reverse_word(t) == (1, 1, 1, 2, 1, 3, 2, 3)
-    assert is_lattice_word(reverse_word(t))
-
-
-def test_reverse_word_single_box():
-    t = SkewTableau(SkewShape((0,), (1,)), [(5,)])
-    assert reverse_word(t) == (5,)
-
-
-def test_is_lattice_word_examples():
-    assert is_lattice_word((1, 1, 2, 1, 3))
-    assert not is_lattice_word((3, 1, 1, 2, 1, 3, 2, 1))
-    assert is_lattice_word(())
+def test_worked_tableaux_are_semistandard_fillings():
+    """The worked tableau and the one with its corner entries swapped pass
+    the semistandard check and are among the enumerated fillings."""
+    fillings = set(enumerate_ssyt(WORKED_SHAPE, 3))
+    for rows in ([(1, 1, 3), (1, 2), (2, 3), (1,)], [(1, 1, 1), (1, 2), (2, 3), (3,)]):
+        assert SkewTableau(WORKED_SHAPE, rows) in fillings
 
 
 def test_lr_number_examples():
