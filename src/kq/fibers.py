@@ -20,6 +20,9 @@ with the step tables of each point cached and shared by every pair.  It
 eliminates mod a fixed prime until the rank reaches the multiplicity,
 falls back to an exact integer rank when it does not, and compares the
 block ranks, each counted with its S_n orbit size, with `hom_dim`.
+Since E_{lam+(1,1)} = E_lam (x) det Q, the twisted pairs
+(lam + (t, t), mu + (t, t)) have one map space and one report body,
+which is computed once per twist class and cached.
 """
 
 from __future__ import annotations
@@ -294,8 +297,36 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
     exceeds hom_dim (which the theory excludes), `inconclusive`
     otherwise; a report that is not `ok` lists every block whose rank
     differs from its mult as [alpha, rank, mult] under `short_weights`.
+
+    Twisted pairs share one computation.  E_{lam+(1,1)} = E_lam (x)
+    det Q, so the pair (lam + (t, t), mu + (t, t)) has the same map
+    space as (lam, mu), and everything the report reads is the same:
+    the fiber dimensions, the routes inside a >= b, the constituents
+    and their Kostka numbers.  A strictly contained pair is untwisted to
+    (lam - (lam2, lam2), mu - (lam2, lam2)) and its report body is read
+    from a per-process cache of twist classes; the report carries the
+    lam and mu given.
     """
     lam, mu = Partition.coerce(lam), Partition.coerce(mu)
+    # Only a strictly contained two-row pair is untwisted.  Any other
+    # keeps its parts, so hom_dim refuses it as given: untwisting
+    # (2,2) -> (3,1) would give a negative part.
+    inner, outer = lam, mu
+    if mu.num_rows <= 2 and mu.contains(lam) and mu != lam:
+        t = lam.part(1)
+        inner, outer = Partition((lam.part(0) - t,)), Partition((mu.part(0) - t, mu.part(1) - t))
+    body = _twist_class_report(n, inner, outer, samples, seed)
+    report = {"lam": list(lam.padded(2)), "mu": list(mu.padded(2)), **body}
+    if "short_weights" in body:
+        report["short_weights"] = [[list(alpha), rank, mult] for alpha, rank, mult in body["short_weights"]]
+    return report
+
+
+@lru_cache(maxsize=None)
+def _twist_class_report(n: int, lam: Partition, mu: Partition, samples: int, seed) -> dict:
+    """The body of the `surjectivity_rank` report of one pair, without
+    lam and mu; `short_weights` entries are tuples (alpha, rank, mult).
+    Cached, and called with the untwisted pair of each twist class."""
     expected = hom_dim(lam, mu, n)  # NotContainedError unless lam < mu
     d_lam, d_mu = fiber_dim(lam), fiber_dim(mu)
     rank = samples_drawn = 0
@@ -319,13 +350,11 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
                 exact.insert(dict(enumerate(row)))
             block_rank = exact.rank
         if block_rank != mult:
-            short.append([list(alpha), block_rank, mult])
+            short.append((alpha, block_rank, mult))
         rank += orbit * block_rank
         samples_drawn = max(samples_drawn, drawn)
     status = "fail" if rank > expected else "ok" if rank == expected and not short else "inconclusive"
-    report = {
-        "lam": list(lam.padded(2)),
-        "mu": list(mu.padded(2)),
+    body = {
         "words": n ** (mu.size - lam.size),
         "samples": samples_drawn,
         "rank": rank,
@@ -334,5 +363,5 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
         "ok": status == "ok",
     }
     if status != "ok":
-        report["short_weights"] = short
-    return report
+        body["short_weights"] = tuple(short)
+    return body

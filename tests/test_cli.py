@@ -240,11 +240,14 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_not_contained_pair_gives_one_message(capsys):
-    lines = []
-    for command in ("verify-kernel", "verify-surjectivity"):
-        assert run([command, "--n", "4", "--lam", "2,0", "--mu", "0,0"]) == 2
-        lines.append(capsys.readouterr().err)
-    assert lines[0] == lines[1] == "error: (2,) is not strictly contained in ()\n"
+    # (2,2) -> (3,1) is refused as given: untwisted it would have a negative part.
+    for n, lam, mu, message in (("4", "2,0", "0,0", "(2,) is not strictly contained in ()"),
+                                ("6", "2,2", "3,1", "(2, 2) is not strictly contained in (3, 1)")):
+        lines = []
+        for command in ("verify-kernel", "verify-surjectivity"):
+            assert run([command, "--n", n, "--lam", lam, "--mu", mu]) == 2
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1] == f"error: {message}\n"
     assert run(["ssyt-count", "--inner", "2", "--outer", "1", "--max-entry", "3"]) == 2
     assert capsys.readouterr().err == "error: (2,) is not contained in (1,)\n"
 

@@ -25,6 +25,15 @@ from kq.quiver import build_quiver, containment_pairs
 from kq.tableaux import NotContainedError, Partition, dominant_weights, hom_dim
 
 
+@pytest.fixture
+def fresh_class_cache():
+    """Twist-class reports made under a patched hom_dim, dominant_weights,
+    PRIME or SparseEchelon are neither read from nor left in the cache."""
+    fibers._twist_class_report.cache_clear()
+    yield
+    fibers._twist_class_report.cache_clear()
+
+
 def column(y, rho):
     return (y.matrix[0, rho - 1], y.matrix[1, rho - 1])
 
@@ -224,9 +233,35 @@ def test_reports_do_not_depend_on_pair_order():
 
     forward = reports(pairs)
     assert reports(pairs[::-1]) == forward
+    fibers._twist_class_report.cache_clear()
     fibers.sample_point.cache_clear()
     fibers._point_steps.cache_clear()
     assert reports(pairs[::-1]) == forward
+
+
+def untwist(lam, mu):
+    """The pair shifted by (lam2, lam2), so that its inner second row is 0."""
+    t = lam[1]
+    return (lam[0] - t, 0), (mu[0] - t, mu[1] - t)
+
+
+def test_twisted_pairs_read_the_same_data():
+    """E_{lam+(1,1)} = E_lam (x) det Q: everything a report reads is the
+    same for a pair and its untwisted pair, checked without the cache."""
+    twisted = 0
+    for n in (4, 5, 6, 7):
+        for lam, mu in containment_pairs(build_quiver(n), 2 * (n - 2)):
+            base_lam, base_mu = untwist(lam, mu)
+            twisted += lam[1] > 0
+            for end, base in ((lam, base_lam), (mu, base_mu)):
+                assert fibers.fiber_dim(end) == fibers.fiber_dim(base), (n, lam, mu)
+            assert hom_dim(lam, mu, n) == hom_dim(base_lam, base_mu, n), (n, lam, mu)
+            weights = dominant_weights(lam, mu, n)
+            assert weights == dominant_weights(base_lam, base_mu, n), (n, lam, mu)
+            for alpha, _, _ in weights:
+                tree = fibers._normal_routes(Partition(lam), Partition(mu), alpha)
+                assert tree == fibers._normal_routes(Partition(base_lam), Partition(base_mu), alpha), (n, lam, mu, alpha)
+    assert twisted == 3 + 14 + 40 + 90
 
 
 def test_staircase_route():
@@ -301,6 +336,7 @@ def test_surjectivity_rank_matches_exact_rank_over_40_points():
             assert exact == r["rank"] == r["hom_dim"], (n, lam, mu)
 
 
+@pytest.mark.usefixtures("fresh_class_cache")
 def test_surjectivity_falls_back_to_exact_rank(monkeypatch):
     exact_inserts = []
 
@@ -317,6 +353,7 @@ def test_surjectivity_falls_back_to_exact_rank(monkeypatch):
     assert exact_inserts and r["status"] == "ok" and r["rank"] == r["hom_dim"] == 20
 
 
+@pytest.mark.usefixtures("fresh_class_cache")
 def test_surjectivity_below_hom_dim_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(fibers, "hom_dim", lambda lam, mu, n: hom_dim(lam, mu, n) + 1)
     r = surjectivity_rank(4, (0, 0), (1, 1), 10, "unit")
@@ -326,6 +363,7 @@ def test_surjectivity_below_hom_dim_is_inconclusive(monkeypatch, capsys):
     assert code == 1 and '"status":"inconclusive"' in capsys.readouterr().out
 
 
+@pytest.mark.usefixtures("fresh_class_cache")
 def test_short_block_is_named_in_the_report(monkeypatch, capsys):
     raised = lambda lam, mu, n: [(a, o, m + (a == (1, 1))) for a, o, m in dominant_weights(lam, mu, n)]
     monkeypatch.setattr(fibers, "dominant_weights", raised)
@@ -337,12 +375,52 @@ def test_short_block_is_named_in_the_report(monkeypatch, capsys):
     assert code == 1 and '"short_weights":[[[1,1],1,2]]' in capsys.readouterr().out
 
 
+def test_refusal_comes_before_untwisting():
+    refused = {
+        ((2, 2), (3, 1)): "(2, 2) is not strictly contained in (3, 1)",
+        ((1, 1), (2, 0)): "(1, 1) is not strictly contained in (2,)",
+        ((2, 1), (2, 1)): "(2, 1) is not strictly contained in (2, 1)",
+        ((3, 3), (2, 2)): "(3, 3) is not strictly contained in (2, 2)",
+    }
+    for (lam, mu), message in refused.items():
+        with pytest.raises(NotContainedError) as exc:
+            surjectivity_rank(6, lam, mu, 40, "0")
+        assert str(exc.value) == message
+
+
+def test_each_twist_class_is_computed_once():
+    # The pairs of the surjectivity benchmark workload: 34 pairs, 20 classes.
+    pairs = containment_pairs(build_quiver(5), 3) + [((0, 0), (2, 2)), ((1, 1), (3, 3))]
+    fibers._twist_class_report.cache_clear()
+    reports = [surjectivity_rank(5, lam, mu, 40, "0") for lam, mu in pairs]
+    assert len(pairs) == 34 and fibers._twist_class_report.cache_info().misses == 20
+    assert [(r["lam"], r["mu"]) for r in reports] == [(list(lam), list(mu)) for lam, mu in pairs]
+
+
+def test_a_changed_report_leaves_the_next_one_alone():
+    # One sample leaves the (1,1,1,1,1) block of this class short.
+    expected = {"rank": 2331, "hom_dim": 2352, "status": "inconclusive", "short_weights": [[[1, 1, 1, 1, 1], 9, 10]]}
+    r = surjectivity_rank(7, (2, 0), (5, 2), 1, "0")
+    assert {key: r[key] for key in expected} == expected
+    r["rank"] = 0
+    r["lam"].append(9)
+    r["short_weights"][0][0].append(9)
+    r["short_weights"][0][1] = 0
+    r["short_weights"].append([[1], 0, 0])
+    again = surjectivity_rank(7, (2, 0), (5, 2), 1, "0")
+    assert again["lam"] == [2, 0] and {key: again[key] for key in expected} == expected
+    twisted = surjectivity_rank(7, (3, 1), (6, 3), 1, "0")
+    assert (twisted["lam"], twisted["mu"]) == ([3, 1], [6, 3])
+    assert {key: twisted[key] for key in expected} == expected
+
+
 def test_ok_report_keeps_its_keys():
     r = surjectivity_rank(5, (1, 0), (3, 2), 40, "keys")
     assert list(r) == ["lam", "mu", "words", "samples", "rank", "hom_dim", "status", "ok"]
     assert r["ok"] and r["words"] == 5**4
 
 
+@pytest.mark.usefixtures("fresh_class_cache")
 def test_block_rank_depends_only_on_the_pair_and_the_weight(monkeypatch):
     # One more than each multiplicity makes every block draw its whole
     # budget and report the rank it reached under short_weights.
