@@ -33,7 +33,7 @@ from typing import Mapping
 # f_matrix and g_matrix stay bound here, where the benchmark tracer of
 # kqbench/ looks them up, though embed builds its matrices by step_matrix.
 from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, step_matrix  # noqa: F401
-from .linalg import RatMatrix, _json_int, linear_combination
+from .linalg import RatMatrix, _int_product, _json_int, linear_combination
 from .quiver import Arrow, RelationElement, TiltingQuiver, build_quiver, relation_arrow_terms, relation_sets
 
 SOURCE = (0, 0)
@@ -351,12 +351,17 @@ def check_relations(rep: QuiverRep) -> list[RelationViolation]:
 
 def scramble(rep: QuiverRep, g: GaugeElement) -> QuiverRep:
     """Change basis at every vertex: each arrow matrix M becomes
-    g_head M g_tail^{-1}.  Stability ranks and relation satisfaction
-    are preserved."""
+    g_head M g_tail^{-1}, both products taken on the integer forms and
+    brought to lowest terms once.  Stability ranks and relation
+    satisfaction are preserved."""
     if g.n != rep.n:
         raise ValueError("sizes differ")
     inv = {v: b.invert() for v, b in g.blocks.items()}
-    mats = {a: g.blocks[a.head] * m * inv[a.tail] for a, m in rep.matrices.items()}
+    mats = {}
+    for a, m in rep.matrices.items():
+        h, t, (r, c) = g.blocks[a.head], inv[a.tail], m.shape
+        ints = _int_product(_int_product(h._n, m._n, r, r, c), t._n, r, c, c)
+        mats[a] = RatMatrix._raw(r, c, ints, h._d * m._d * t._d)
     return QuiverRep(rep.n, mats)
 
 
@@ -371,7 +376,8 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
     whole equality is checked; over all v that is exactly
     scramble(embed(point), gauge) == rep, as every arrow has a non-source
     head.  g is invertible: actual, the stable incoming matrix times an
-    invertible block diagonal, has rank d_v.
+    invertible block diagonal, has rank d_v.  The block at the source is
+    the 1 x 1 identity, so the arrows out of it enter actual as they are.
     """
     violations = check_relations(rep)
     if violations:
@@ -391,7 +397,8 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
     for v in q.vertices[1:]:
         canon = assemble_W(canonical, v)
         cols = canon.pivot_columns()
-        actual = _incoming(q, {a: rep.matrices[a] * blocks[a.tail] for a in q.arrows_into(v)}, v)
+        into = {a: rep.matrices[a] if a.tail == SOURCE else rep.matrices[a] * blocks[a.tail] for a in q.arrows_into(v)}
+        actual = _incoming(q, into, v)
         g = actual.take_columns(cols) * canon.take_columns(cols).invert()
         if actual != g * canon:
             raise NotInImageError(f"incoming matrices at {v} do not match the embedding")

@@ -21,8 +21,9 @@ leading term when paths compare arrow by arrow from the tail, smaller
 rho first and horizontal first at equal rho.
 Only the slice under construction is a live SparseEchelon; a finished
 slice is cached packed (IdealSlice): its rank, and its basis rows in
-pivot order as one array('q') of columns, one flat tuple of exact int
-coefficients and one array('q') of row ends.
+pivot order as one flat sequence of columns, one of exact coefficients
+and one of row ends, each in the narrowest signed array that holds it
+(see _narrow_array).
 """
 
 from __future__ import annotations
@@ -390,16 +391,27 @@ def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
     return out
 
 
+def _narrow_array(values: Iterable[int], bound: int) -> array | tuple[int, ...]:
+    """values, every |x| < bound, in the narrowest signed array typecode
+    of b, h, i, q that holds bound - 1; a tuple of ints past 64 bits, so
+    the stored values stay exact."""
+    for code in "bhiq":
+        if bound <= 1 << (8 * array(code).itemsize - 1):
+            return array(code, values)
+    return tuple(values)
+
+
 class IdealSlice(NamedTuple):
     """A finished graded slice of the relation ideal, packed: its rank
     and its echelon basis rows in pivot order.  Row k has the columns
     cols[start:ends[k]] and the exact coefficients vals[start:ends[k]],
-    where start is ends[k - 1], or 0 for k = 0."""
+    where start is ends[k - 1], or 0 for k = 0.  Each field is a
+    _narrow_array."""
 
     rank: int
-    cols: array
-    vals: tuple[int, ...]
-    ends: array
+    cols: array | tuple[int, ...]
+    vals: array | tuple[int, ...]
+    ends: array | tuple[int, ...]
 
 
 def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
@@ -410,9 +422,9 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
     bases themselves; longer slices are spanned by lower slices extended
     by a single arrow a at the head (column c goes to c * 2n + letter(a))
     or at the tail (to letter(a) * (2n)**(L-1) + c).  A slice is
-    eliminated in a SparseEchelon, but cached packed: the columns in one
-    array('q'), the coefficients in one flat tuple of ints.  Columns are
-    below (2n)**L, so below 2**L times the path count, not below it.
+    eliminated in a SparseEchelon, but cached packed in _narrow_array
+    fields.  Columns are below (2n)**L, so below 2**L times the path
+    count, not below it.
     """
     lam, mu = tuple(lam), tuple(mu)
     key = (lam, mu)
@@ -442,11 +454,12 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
                 ech.insert(dict(islice(terms, end - start)))
                 start = end
     rows = ech.basis()
+    vals = list(chain.from_iterable(map(dict.values, rows)))
     q._ideal_cache[key] = IdealSlice(
         ech.rank,
-        array("q", chain.from_iterable(rows)),
-        tuple(chain.from_iterable(map(dict.values, rows))),
-        array("q", accumulate(map(len, rows))),
+        _narrow_array(chain.from_iterable(rows), radix**length),
+        _narrow_array(vals, max(map(abs, vals), default=0) + 1),
+        _narrow_array(accumulate(map(len, rows)), len(vals) + 1),
     )
     return q._ideal_cache[key]
 

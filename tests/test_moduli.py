@@ -417,17 +417,22 @@ def test_one_check_evaluates_each_relation_once_from_one_relation_sets_call(monk
 
 def test_reconstruct_solves_forward_with_one_inverse_per_vertex(monkeypatch):
     """One n=5 reconstruct inverts at most one matrix per vertex and forms
-    one product per arrow (its matrix times the block at its tail) plus
-    two per non-source vertex (the solve and the check), and one more."""
+    one product per arrow not out of the source (its matrix times the
+    block at its tail) plus two per non-source vertex (the solve and the
+    check), and one more in reduce_point: 74 products for 60 arrows."""
     calls = Counter()
-    rep = scramble(embed(random_point(5, "counts")), random_gauge(5, "counts"))
+    y, h = random_point(5, "counts"), random_gauge(5, "counts")
+    rep = scramble(embed(y), h)
     q = rep.quiver
     monkeypatch.setattr(RatMatrix, "invert", counted(calls, "invert", RatMatrix.invert))
     monkeypatch.setattr(RatMatrix, "__mul__", counted(calls, "mul", RatMatrix.__mul__))
-    reconstruct(rep)
+    point, gauge = reconstruct(rep)
     vertices, arrows = len(q.vertices), len(q.arrows)
     assert calls["invert"] <= vertices
-    assert calls["mul"] <= arrows + 2 * (vertices - 1) + 1
+    assert calls["mul"] == arrows - len(q.arrows_from((0, 0))) + 2 * (vertices - 1) + 1 == 74
+    scalar = h.blocks[(0, 0)][0, 0]
+    assert point == y
+    assert gauge.blocks == {v: b.scale(1 / scalar) for v, b in h.blocks.items()}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -495,6 +500,21 @@ def test_scramble_group_action():
     inverse = GaugeElement(4, {v: b.invert() for v, b in g.blocks.items()})
     assert scramble(scramble(rep, g), inverse) == rep
     assert scramble(scramble(rep, h), g) == scramble(rep, compose(g, h))
+
+
+def test_scramble_reduces_each_arrow_once(monkeypatch):
+    """One n=5 scramble brings one matrix to lowest terms per arrow and
+    per inverted block: 70 for 60 arrows and 10 vertices, and the result
+    is the blockwise composition g_head * M * g_tail^-1."""
+    rep, g = embed(random_point(5, "reduce")), random_gauge(5, "reduce")
+    q = rep.quiver
+    calls = Counter()
+    monkeypatch.setattr(RatMatrix, "_raw", staticmethod(counted(calls, "raw", RatMatrix._raw)))
+    out = scramble(rep, g)
+    assert calls["raw"] == len(q.arrows) + len(q.vertices) == 70
+    monkeypatch.undo()
+    for a in q.arrows:
+        assert out.matrices[a] == g.blocks[a.head] * rep.matrices[a] * g.blocks[a.tail].invert(), a
 
 
 def test_scramble_preserves_checks():

@@ -334,21 +334,76 @@ def test_integer_columns_match_path_keyed_slices():
             assert path_count(q, lam, mu) == len(paths)
 
 
-def test_finished_slices_are_packed():
-    """A cached slice keeps no SparseEchelon and no dict rows: its columns
-    and row ends are 64-bit arrays, its coefficients one tuple of ints,
-    and its rank is its row count."""
+@pytest.mark.parametrize(
+    "values, bound, typecode",
+    [
+        ([], 1, "b"),
+        ([127, -127, 0], 128, "b"),
+        ([128], 129, "h"),
+        ([-128], 129, "h"),
+        ([2**15 - 1, -(2**15 - 1)], 2**15, "h"),
+        ([2**15], 2**15 + 1, "i"),
+        ([-(2**15)], 2**15 + 1, "i"),
+        ([2**31 - 1, -(2**31 - 1)], 2**31, "i"),
+        ([2**31], 2**31 + 1, "q"),
+        ([-(2**31)], 2**31 + 1, "q"),
+        ([2**63 - 1, -(2**63 - 1)], 2**63, "q"),
+    ],
+)
+def test_narrow_array_takes_the_narrowest_typecode(values, bound, typecode):
+    packed = quiver._narrow_array(iter(values), bound)
+    assert type(packed) is array and packed.typecode == typecode
+    assert list(packed) == values
+
+
+@pytest.mark.parametrize("values", [[2**63], [-(2**63)], [2**63 - 1, -(2**200), 5]])
+def test_narrow_array_keeps_ints_past_64_bits_in_a_tuple(values):
+    bound = max(map(abs, values)) + 1
+    packed = quiver._narrow_array(iter(values), bound)
+    assert type(packed) is tuple and packed == tuple(values)
+    assert all(type(x) is int for x in packed)
+
+
+def test_narrow_array_refuses_a_value_at_its_bound():
+    """A bound too small raises instead of wrapping the value."""
+    with pytest.raises(OverflowError):
+        quiver._narrow_array([128], 128)
+    with pytest.raises(OverflowError):
+        quiver._narrow_array([2**31], 2**31)
+
+
+def test_finished_slices_are_packed(monkeypatch):
+    """A cached slice keeps no SparseEchelon and no dict rows: its columns,
+    coefficients and row ends are each in the narrowest signed array
+    holding their bound ((2n)**L, the largest |coefficient| + 1 and the
+    entry count + 1), its rank is its row count, and its rows read back
+    exactly as the eliminator's basis rows."""
+    narrower = {"h": 2**7, "i": 2**15, "q": 2**31}  # the largest value of the next narrower typecode, + 1
     for n in (4, 5):
+        finished = []
+
+        class Recording(SparseEchelon):
+            def basis(self):
+                rows = super().basis()
+                finished.append([dict(row) for row in rows])
+                return rows
+
+        monkeypatch.setattr(quiver, "SparseEchelon", Recording)
         q = TiltingQuiver(n)
         for lam, mu in containment_pairs(q, 4):
             quiver._ideal_slice(q, lam, mu)
         assert q._ideal_cache
+        assert [_slice_rows(record) for record in q._ideal_cache.values()] == finished
         for key, record in q._ideal_cache.items():
+            lam, mu = key
             assert type(record) is quiver.IdealSlice, key
-            assert not any(isinstance(f, (SparseEchelon, dict)) for f in record), key
-            assert type(record.cols) is type(record.ends) is array
-            assert record.cols.typecode == record.ends.typecode == "q"
-            assert type(record.vals) is tuple and all(type(x) is int for x in record.vals)
+            assert all(type(f) is array for f in record[1:]), key
+            length = (mu[0] - lam[0]) + (mu[1] - lam[1])
+            assert record.cols.typecode == ("b" if length <= 2 else "h"), key  # (2n)**L <= 10**4
+            top = max(map(abs, record.vals), default=0)
+            for field, bound in ((record.vals, top + 1), (record.ends, len(record.vals) + 1)):
+                assert bound <= 2 ** (8 * field.itemsize - 1), key
+                assert field.typecode == "b" or bound > narrower[field.typecode], key
             assert record.rank == len(record.ends) == graded_ideal_dim(q, *key)
             assert len(record.cols) == len(record.vals) == (record.ends[-1] if record.ends else 0)
 
