@@ -243,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", default="0", help="seed for all randomness")
-        # Accepted for compatibility and ignored: every command runs on one
-        # thread, since a thread pool gave no speed-up under the GIL.
-        p.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
         return p
 
     p = add("lr", cmd_lr, help="Littlewood-Richardson number")
@@ -306,10 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu")
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--seed", default="0", help="seed for the sample points")
 
     p = add("roundtrip", cmd_roundtrip, help="embed/scramble/reconstruct round trips")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", default="0", help="seed for the random points and gauges")
 
     return parser
 

@@ -4,10 +4,10 @@ Scalars are ``fractions.Fraction`` values (arbitrary precision, always in
 lowest terms).  ``RatMatrix`` is an immutable dense matrix that holds one
 exact integer form: a flat row-major tuple of integers over one positive
 common denominator, in lowest terms, so equal matrices have equal forms.
-Products, sums, ``linear_combination``, stacking, rank and pivot columns
-work on the integers alone; ``invert`` is a fraction-free (Bareiss)
-Gauss-Jordan elimination.  ``Fraction`` values are built only on access:
-entries, rows, JSON and repr.  ``SparseEchelon`` is the one exact integer
+Products, sums, stacking, rank and pivot columns work on the integers
+alone; ``invert`` is a fraction-free (Bareiss) Gauss-Jordan elimination.
+``Fraction`` values are built only on access: entries, rows, JSON and
+repr.  ``SparseEchelon`` is the one exact integer
 eliminator: rank and pivot columns, the graded slices of the relation
 ideal and the exact fallback of the surjectivity check all insert integer
 rows into it.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 # The largest prime below 2**30: residues stay one-digit CPython ints,
@@ -245,36 +245,6 @@ def _int_product(a: Sequence[int], b: Sequence[int], m: int, n: int, p: int) -> 
     rows = [a[i * n : (i + 1) * n] for i in range(m)]
     cols = [b[j::p] for j in range(p)]
     return [sum(map(mul, r, c)) for r in rows for c in cols]
-
-
-def linear_combination(rows: int, cols: int, terms: Iterable[tuple[object, Sequence[RatMatrix]]]) -> RatMatrix:
-    """The exact rows x cols sum of c * F1 * F2 * ... * Fk over the terms
-    (c, (F1, ..., Fk)).
-
-    Every product is taken in integers on the integer forms, and the sum
-    is formed as integers over the lcm of the terms' denominators; no
-    Fraction is built.
-    """
-    scaled = []
-    for c, factors in terms:
-        c = rat(c)
-        ints, den = factors[0]._n, factors[0]._d
-        r, k = factors[0].shape
-        for f in factors[1:]:
-            if f.rows != k:
-                raise ValueError(f"cannot multiply {(r, k)} by {f.shape}")
-            ints, den, k = _int_product(ints, f._n, r, k, f.cols), den * f._d, f.cols
-        if (r, k) != (rows, cols):
-            raise ValueError(f"term of shape {(r, k)} in a {(rows, cols)} sum")
-        scaled.append((c.numerator, c.denominator * den, ints))
-    lcd = lcm(*(d for _, d, _ in scaled))
-    acc = [0] * (rows * cols)
-    for num, d, ints in scaled:
-        w = num * (lcd // d)
-        acc = [x + w * y for x, y in zip(acc, ints)]
-    if not any(acc):
-        return RatMatrix.zeros(rows, cols)
-    return RatMatrix._raw(rows, cols, acc, lcd)
 
 
 class SparseEchelon:

@@ -33,8 +33,8 @@ from typing import Mapping
 # f_matrix and g_matrix stay bound here, where the benchmark tracer of
 # kqbench/ looks them up, though embed builds its matrices by step_matrix.
 from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, step_matrix  # noqa: F401
-from .linalg import RatMatrix, _int_product, _json_int, linear_combination
-from .quiver import Arrow, RelationElement, TiltingQuiver, build_quiver, relation_arrow_terms, relation_sets
+from .linalg import RatMatrix, _int_product, _json_int
+from .quiver import Arrow, RelationElement, TiltingQuiver, _relation_elements, build_quiver, relation_sets
 
 SOURCE = (0, 0)
 
@@ -260,14 +260,14 @@ _zeros = lru_cache(maxsize=None)(RatMatrix.zeros)  # immutable, so one per shape
 
 @lru_cache(maxsize=None)
 def _relation_bound(q: TiltingQuiver) -> tuple[int, int]:
-    """Over the terms (c, first, second) of relation_arrow_terms: the
-    largest sum over a relation of |c| * (dim of the vertex at the head of
-    the first arrow, which the path passes), and the largest number of
-    terms of a relation."""
+    """Over the arrow_terms (c, first, second) of the quiver's relations:
+    the largest sum over a relation of |c| * (dim of the vertex at the
+    head of the first arrow, which the path passes), and the largest
+    number of terms of a relation."""
     weight = most_terms = 0
-    for terms in relation_arrow_terms(q).values():
-        weight = max(weight, sum(abs(c) * q.vertex_dim(q.arrows[first].head) for c, first, _ in terms))
-        most_terms = max(most_terms, len(terms))
+    for rel in _relation_elements(q):
+        weight = max(weight, sum(abs(c) * q.vertex_dim(q.arrows[first].head) for c, first, _ in rel.arrow_terms))
+        most_terms = max(most_terms, len(rel.arrow_terms))
     return weight, most_terms
 
 
@@ -310,36 +310,42 @@ def evaluate_relation(rep: QuiverRep, rel: RelationElement) -> RatMatrix:
     """The matrix value of a relation element on the representation,
     summed in integers over one common denominator.
 
-    A relation of relation_sets is first tested for zero from its terms
-    (c, first, second) in relation_arrow_terms, one residual row at a
-    time: row i of D times the residual (see _packed_arrows), packed like
-    the arrow rows, is sum_t w_t * sum_k A_t[i][k] * b_k with
-    w_t = c_t * D / (dA_t dB_t) and b_k the packed rows of B_t.  Every
-    entry x_j of the row has |x_j| < 2**s, so the packed value
-    sum_j x_j 2**(j*s) is 0 only if x_0 is a multiple of 2**s, that is
-    0, and so on up the row: one integer comparison per row is exact.
-    A nonzero residual, or any relation element that relation_sets did
-    not list, is formed by linear_combination."""
-    d_head, d_tail = rep.quiver.vertex_dim(rel.head), rep.quiver.vertex_dim(rel.tail)
-    terms = relation_arrow_terms(rep.quiver).get(rel)
-    if terms is not None:
-        dens, rows, packed = _packed_arrows(rep)
-        deltas = [dens[first] * dens[second] for _, first, second in terms]
-        common = lcm(*deltas)
-        acc = [0] * d_head
-        for (c, first, second), delta in zip(terms, deltas):
-            w, b = c * (common // delta), packed[first]
-            acc = [x + w * sum(map(mul, r, b)) for x, r in zip(acc, rows[second])]
-        if not any(acc):
-            return _zeros(d_head, d_tail)
-    terms = [(c, [rep.matrices[a] for a in reversed(p.arrows)]) for p, c in rel.terms.items()]
-    return linear_combination(d_head, d_tail, terms)
+    The element's arrow_terms (c, first, second) are first tested for
+    zero one residual row at a time: row i of D times the residual (see
+    _packed_arrows), packed like the arrow rows, is sum_t w_t * sum_k
+    A_t[i][k] * b_k with w_t = c_t * D / (dA_t dB_t) and b_k the packed
+    rows of B_t.  Every entry x_j of the row has |x_j| < 2**s, so the
+    packed value sum_j x_j 2**(j*s) is 0 only if x_0 is a multiple of
+    2**s, that is 0, and so on up the row: one integer comparison per row
+    is exact.  A nonzero residual is sum_t w_t * A_t * B_t over D, the
+    products taken on the integer forms.  An element of another n is
+    refused: its arrow indices name arrows of another quiver."""
+    if rel.n != rep.n:
+        raise ValueError(f"a relation of n={rel.n} on a representation of n={rep.n}")
+    q, terms = rep.quiver, rel.arrow_terms
+    d_head, d_tail = q.vertex_dim(rel.head), q.vertex_dim(rel.tail)
+    dens, rows, packed = _packed_arrows(rep)
+    deltas = [dens[first] * dens[second] for _, first, second in terms]
+    common = lcm(*deltas)
+    weights = [c * (common // delta) for (c, _, _), delta in zip(terms, deltas)]
+    acc = [0] * d_head
+    for (_, first, second), w in zip(terms, weights):
+        b = packed[first]
+        acc = [x + w * sum(map(mul, r, b)) for x, r in zip(acc, rows[second])]
+    if not any(acc):
+        return _zeros(d_head, d_tail)
+    total = [0] * (d_head * d_tail)
+    for (_, first, second), w in zip(terms, weights):
+        a, b = rep.matrices[q.arrows[second]], rep.matrices[q.arrows[first]]
+        total = [x + w * y for x, y in zip(total, _int_product(a._n, b._n, d_head, a.cols, d_tail))]
+    return RatMatrix._raw(d_head, d_tail, total, common)
 
 
 def check_relations(rep: QuiverRep) -> list[RelationViolation]:
-    """Evaluate every relation family; return the nonzero residuals.  The
-    packed rows that evaluate_relation caches are dropped afterwards, so a
-    representation kept after its check does not hold them."""
+    """Evaluate every relation of relation_sets, each from its integer
+    terms; return the nonzero residuals.  The packed rows that
+    evaluate_relation caches are dropped afterwards, so a representation
+    kept after its check does not hold them."""
     out = []
     for rel in relation_sets(rep.quiver):
         residual = evaluate_relation(rep, rel)

@@ -8,8 +8,9 @@ commuting vertical pairs, anticommuting pairs through a diagonal vertex,
 and a three-term exchange around each square).  The degree-two relations
 are one integer table, relation_rows: per relation its index pair and
 its terms (c, first, second), first and second indices into q.arrows.
-The relation elements, their cached terms for the relation check in
-kq.moduli, and the degree-two ideal slices are all read from it.
+A relation element is a view of one row, whose integer terms the
+relation check in kq.moduli reads; the degree-two ideal slices read the
+same rows.
 Graded slices of the ideal are computed by exact sparse elimination over
 the monomial path basis, extending lower-degree slices one arrow at a
 time.
@@ -31,13 +32,12 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice
 from math import comb
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .linalg import SparseEchelon, rat, rat_to_json
+from .linalg import SparseEchelon, rat_to_json
 from .tableaux import Partition, hom_dim
 
 DEFAULT_MAX_PATHS = 10**6
@@ -140,30 +140,36 @@ class Path:
 
 
 class RelationElement:
-    """A rational combination of parallel paths that maps to zero."""
+    """One degree-two relation that maps to zero: a view of one row of
+    relation_rows on a quiver's arrows.
 
-    __slots__ = ("tail", "head", "terms", "family", "indices")
+    It keeps the row's integer terms (c, first, second), first and second
+    indices into q.arrows, as arrow_terms; `terms`, the Path -> coefficient
+    dict, is built on access."""
 
-    def __init__(self, tail, head, terms: Mapping[Path, Fraction], family: str = "", indices=()):
-        tail, head = tuple(tail), tuple(head)
-        clean = {}
-        for p, c in terms.items():
-            if p.tail != tail or p.head != head:
-                raise ValueError("all paths must share the relation's endpoints")
-            c = rat(c)
-            if c:
-                clean[p] = c
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "indices", tuple(indices))
+    __slots__ = ("n", "tail", "head", "family", "indices", "arrow_terms", "_arrows")
+
+    def __init__(self, q: TiltingQuiver, family: str, row: tuple[tuple[int, int], Terms]):
+        indices, terms = row
+        arrows, init = q.arrows, object.__setattr__
+        init(self, "n", q.n)
+        init(self, "tail", arrows[terms[0][1]].tail)
+        init(self, "head", arrows[terms[0][2]].head)
+        init(self, "family", family)
+        init(self, "indices", indices)
+        init(self, "arrow_terms", terms)
+        init(self, "_arrows", arrows)
 
     def __setattr__(self, name, value):
         raise AttributeError("RelationElement is immutable")
 
+    @property
+    def terms(self) -> dict[Path, int]:
+        arrows = self._arrows
+        return {Path((arrows[a], arrows[b])): c for c, a, b in self.arrow_terms}
+
     def __repr__(self) -> str:
-        return f"RelationElement({self.family}{self.indices} {self.tail}->{self.head}, {len(self.terms)} terms)"
+        return f"RelationElement({self.family}{self.indices} {self.tail}->{self.head}, {len(self.arrow_terms)} terms)"
 
     def to_json(self) -> dict:
         return {
@@ -207,7 +213,7 @@ class TiltingQuiver:
             self._in[a.head].append(a)
         self._index = {(a.tail, a.direction, a.rho): k for k, a in enumerate(arrows)}
         self._ideal_cache: dict = {}
-        self._relations: dict[RelationElement, Terms] | None = None  # see relation_arrow_terms
+        self._relations: list[RelationElement] | None = None  # see _relation_elements
 
     def arrows_from(self, v) -> list[Arrow]:
         return self._out[tuple(v)]
@@ -314,38 +320,25 @@ def relation_rows(q: TiltingQuiver, lam, family: str | None) -> list[tuple[tuple
     return rows
 
 
-def _relation_element(q: TiltingQuiver, family: str, row) -> RelationElement:
-    """The relation element of one row of relation_rows, on q's arrows."""
-    indices, terms = row
-    arrows = q.arrows
-    paths = {Path((arrows[a], arrows[b])): c for c, a, b in terms}
-    return RelationElement(arrows[terms[0][1]].tail, arrows[terms[0][2]].head, paths, family, indices)
-
-
 def relation_set_for(q: TiltingQuiver, lam, mu) -> list[RelationElement]:
     """The basis of degree-two relations from lam to mu, as new elements
     (empty if the pair is not two steps apart)."""
     family = p2_family(q, lam, mu)
-    return [_relation_element(q, family, row) for row in relation_rows(q, lam, family)]
+    return [RelationElement(q, family, row) for row in relation_rows(q, lam, family)]
 
 
-def relation_arrow_terms(q: TiltingQuiver) -> dict[RelationElement, Terms]:
-    """Every degree-two relation of the quiver, in p2_pairs order, mapped
-    to its relation_rows terms (c, first, second).  Built once per quiver,
-    without a relation_sets call."""
+def _relation_elements(q: TiltingQuiver) -> list[RelationElement]:
+    """Every degree-two relation of the quiver, in p2_pairs order, built
+    once per quiver; the list itself, not a copy."""
     if q._relations is None:
-        q._relations = {
-            _relation_element(q, family, row): row[1]
-            for lam, _, family in p2_pairs(q)
-            for row in relation_rows(q, lam, family)
-        }
+        q._relations = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
     return q._relations
 
 
 def relation_sets(q: TiltingQuiver) -> list[RelationElement]:
     """All degree-two relation basis elements of the quiver, built once
     per quiver; each call returns a fresh list."""
-    return list(relation_arrow_terms(q))
+    return list(_relation_elements(q))
 
 
 def path_count(q: TiltingQuiver, lam, mu) -> int:

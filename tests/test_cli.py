@@ -192,6 +192,12 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
         assert code == 2, empty_sweep
     code, _ = invoke(capsys, "fg-matrix", "--k", "2", "--x", "1/0,1")
     assert code == 2
+    # --threads is gone, and --seed is only on the two commands that draw
+    for unknown in (("roundtrip", "--n", "4", "--threads", "4"), ("verify-kernel", "--n", "4", "--seed", "1")):
+        with pytest.raises(SystemExit) as exited:
+            run(list(unknown))
+        assert exited.value.code == 2, unknown
+        assert f"unrecognized arguments: {' '.join(unknown[-2:])}" in capsys.readouterr().err
     for negative_n in (("gl-dim", "--gam", ","), ("hom-dim", "--lam", "0,0", "--mu", "1,1")):
         assert run([*negative_n, "--n", "-3"]) == 2, negative_n
         assert capsys.readouterr().err == "error: --n must be at least 0, got -3\n"
@@ -275,6 +281,7 @@ def test_human_and_json_agree_on_verdict(capsys):
     assert code_h == code_j == 0
     assert "ok: true" in out_h
     assert report["ok"] is True
+    assert report["inputs"] == {"lam": "0,0", "max_degree": 4, "mu": "2,1", "n": 4}  # no seed, no threads
     assert "elapsed_ms" in out_h and "elapsed_ms" not in json.dumps(report)
 
 
@@ -285,11 +292,3 @@ def test_verify_surjectivity_json_is_byte_identical(capsys):
     assert code1 == code2 == 0 and out1 == out2
     assert all(r["status"] == "ok" for r in json.loads(out1)["results"]["pairs"])
     assert in_vertex_key_order(json.loads(out1)["results"]["pairs"])
-
-
-def test_threads_flag_preserves_results(capsys):
-    base = ("verify-kernel", "--n", "4", "--max-degree", "2", "--json")
-    _, out1 = invoke(capsys, *base)
-    _, out2 = invoke(capsys, *base, "--threads", "4")
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["results"] == r2["results"]

@@ -12,7 +12,6 @@ from kq.linalg import (
     ModPrimeEchelon,
     RatMatrix,
     SingularMatrixError,
-    linear_combination,
     rat,
     rat_to_json,
 )
@@ -213,7 +212,7 @@ def test_invert_matches_fraction_gauss_jordan(m):
 def test_every_route_gives_the_canonical_form(operands, drop, c):
     a, b = operands
     keep = [j for j in range(a.cols) if j not in drop]
-    routes = [a, b, a * b, linear_combination(a.rows, b.cols, [(c, (a, b)), (1, (a * b,))])]
+    routes = [a, b, a * b]
     routes += [RatMatrix.hstack([a, a * b]), a.take_columns(keep), a + a, a + a.scale(-1)]
     routes += [a.scale(c), a.scale(0), a.scale("-1/2")]
     if a.rows == a.cols and a.rank() == a.rows:
@@ -227,7 +226,7 @@ def test_canonical_form_examples():
     assert m._d == 6
     assert m.take_columns([0])._d == 2  # the only sixth is dropped
     assert_canonical(m.take_columns([0]))
-    for zero in (m + m.scale(-1), m.scale(0), linear_combination(2, 2, [(1, (m,)), (-1, (m,))])):
+    for zero in (m + m.scale(-1), m.scale(0)):
         assert zero == RatMatrix.zeros(2, 2) and zero._d == 1
     assert m.scale("-1/2") == RatMatrix([["-1/2", "-1/12"], ["-1/4", "-3/2"]])
 
@@ -265,20 +264,6 @@ def test_product_matches_schoolbook_fractions(operands):
     assert ab.shape == (a.rows, b.cols)
     assert ab == RatMatrix(schoolbook_product(a, b))
     assert a * b == ab
-
-
-@settings(max_examples=100, deadline=None)
-@given(product_operands(), st.lists(rational.filter(bool), min_size=1, max_size=3), st.booleans())
-def test_linear_combination_matches_fraction_sum(operands, coeffs, cancel):
-    a, b = operands
-    terms = [(c, (a, b)) for c in coeffs] + [(c, (a * b,)) for c in coeffs]
-    if cancel:  # the sum of every term and its negative is exactly zero
-        terms += [(-c, factors) for c, factors in terms]
-    total = sum(c for c, _ in terms)  # every term is c times the product a b
-    expect = RatMatrix([[total * x for x in row] for row in schoolbook_product(a, b)])
-    assert linear_combination(a.rows, b.cols, terms) == expect
-    with pytest.raises(ValueError):
-        linear_combination(a.rows + 1, b.cols, terms)
 
 
 def test_stacking_and_column_selection_keep_entries():
@@ -345,14 +330,3 @@ def test_matrix_immutability_and_hash():
     with pytest.raises(AttributeError):
         m.rows = 5
     assert hash(m) == hash(RatMatrix([[1, 2], [3, 4]]))
-
-
-def test_lincomb_never_stores_zero():
-    a = RatMatrix([["1/2", "-2/3"], [3, "5/7"]])
-    b = RatMatrix([["1/3"], ["-4/5"]])
-    zero = linear_combination(2, 1, [("3/2", (a, b)), (-1, (a * b,)), ("-1/2", (a, b))])
-    assert zero.is_zero() and zero._d == 1 and zero._n == (0, 0)
-    assert zero == RatMatrix.zeros(2, 1) and hash(zero) == hash(RatMatrix.zeros(2, 1))
-    # f for column (2, 4) on p0 - 2 p1: the p1 coefficient 1*4 - 2*2 cancels
-    f = RatMatrix([[2, 0], [4, 2], [0, 4]])
-    assert linear_combination(3, 1, [(1, (f, RatMatrix([[1], [-2]])))]) == RatMatrix([[2], [0], [-8]])

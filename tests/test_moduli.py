@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kq import moduli, quiver
 from kq.fibers import GrPoint, reduce_point
-from kq.linalg import RatMatrix, linear_combination
+from kq.linalg import RatMatrix
 from kq.moduli import (
     GaugeElement,
     NotInImageError,
@@ -30,7 +30,7 @@ from kq.moduli import (
     reconstruct,
     scramble,
 )
-from kq.quiver import TiltingQuiver, build_quiver, p2_pairs, relation_arrow_terms, relation_set_for, relation_sets
+from kq.quiver import TiltingQuiver, build_quiver, p2_pairs, relation_set_for, relation_sets
 
 
 def canonical_point(x1, x2, x3, x4):
@@ -149,28 +149,20 @@ def test_integer_relation_check_matches_fraction_oracle(n):
         assert [(v.relation, v.residual) for v in check_relations(bad)] == expect
 
 
-def test_fresh_relations_are_formed_by_linear_combination(monkeypatch):
-    """relation_set_for builds equal relations as new objects, which the
-    compiled terms of the quiver do not hold: evaluate_relation forms each
-    of their residuals by linear_combination, and the residuals match the
-    cached relations' pair by pair, in relation order."""
+def test_fresh_relations_evaluate_like_the_cached_ones():
+    """relation_set_for builds equal relations as new objects, and
+    evaluate_relation gives each of them the residual of the cached
+    relation in the same place, zero on a scrambled embedding and nonzero
+    where one entry moved, in relation order."""
     n = 5
     q = build_quiver(n)
     cached = relation_sets(q)
     fresh = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
     fields = ("tail", "head", "terms", "family", "indices")
     assert [[getattr(r, f) for f in fields] for r in fresh] == [[getattr(r, f) for f in fields] for r in cached]
-    assert not any(rel in relation_arrow_terms(q) for rel in fresh)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return linear_combination(*args)
-
-    monkeypatch.setattr(moduli, "linear_combination", counted)
+    assert not any(a is b for a, b in zip(fresh, cached))
     rep = scramble(embed(random_point(n, "fresh")), random_gauge(n, "fresh"))
     assert all(evaluate_relation(rep, rel).is_zero() for rel in fresh)
-    assert len(calls) == len(fresh)
     a = q.arrow((1, 0), 1, 3)
     m = rep.matrices[a]
     rows = [list(m.row(i)) for i in range(m.rows)]
@@ -181,18 +173,19 @@ def test_fresh_relations_are_formed_by_linear_combination(monkeypatch):
     assert any(not r.is_zero() for r in residuals)
 
 
-def combination_residual(rep: QuiverRep, rel) -> RatMatrix:
-    """Reference value of a relation: linear_combination of its path
-    matrices, with no packed zero test in front."""
-    q = rep.quiver
-    terms = [(c, [rep.matrices[a] for a in reversed(p.arrows)]) for p, c in rel.terms.items()]
-    return linear_combination(q.vertex_dim(rel.head), q.vertex_dim(rel.tail), terms)
+def test_a_relation_of_another_n_is_refused():
+    """A relation's arrow indices name arrows of its own quiver, so an
+    n=5 relation on an n=6 representation is refused."""
+    rep = embed(random_point(6, "other n"))
+    rel = relation_sets(build_quiver(5))[0]
+    with pytest.raises(ValueError, match="n=5 on a representation of n=6"):
+        evaluate_relation(rep, rel)
 
 
 def assert_relations_match_oracle(rep: QuiverRep) -> None:
     expect = []
     for rel in relation_sets(rep.quiver):
-        r = combination_residual(rep, rel)
+        r = fraction_residual(rep, rel)
         assert evaluate_relation(rep, rel) == r, rel
         if not r.is_zero():
             expect.append((rel, r))
@@ -211,10 +204,10 @@ def arrow_shape(q, a) -> tuple[int, int]:
     st.sampled_from(["random", "embedded", "perturbed"]),
     st.integers(0, 2**32),
 )
-def test_packed_relation_check_matches_linear_combination(n, bits, kind, seed):
+def test_packed_relation_check_matches_the_fraction_oracle(n, bits, kind, seed):
     """On representations with numerators and denominators of up to
     `bits` bits, evaluate_relation and check_relations agree with the
-    plain linear_combination residual: random matrices (nonzero
+    Fraction residual of fraction_residual: random matrices (nonzero
     residuals), scrambled embeddings of a point with such entries (zero
     residuals), and those with one entry moved (both)."""
     rng = random.Random(seed)
@@ -271,12 +264,12 @@ def square_relation_rep(m: int, top: int, sign: int) -> tuple[QuiverRep, object]
 @given(st.integers(1, 110), st.sampled_from([1, 2]), st.sampled_from([1, -1]))
 def test_packed_zero_test_separates_a_unit_from_a_full_slot(m, top, sign):
     """A residual row [2**w, -1] packs to 0 in slots of w bits; the
-    relation must still be reported, with the linear_combination value."""
+    relation must still be reported, with the Fraction oracle's value."""
     rep, rel = square_relation_rep(m, top, sign)
     big = 2**m
     residual = evaluate_relation(rep, rel)
     assert residual == RatMatrix([[sign * 2**top * big * big, -sign], [0, 0]])
-    assert residual == combination_residual(rep, rel)
+    assert residual == fraction_residual(rep, rel)
     assert_relations_match_oracle(rep)
 
 
@@ -341,7 +334,7 @@ def test_packed_zero_test_separates_a_unit_from_any_lower_slot(dbits, nbits):
         for sign in (1, -1):
             rep, rel, common = coprime_square_rep(dens, big, sign * 2**k, -sign)
             expect = RatMatrix([[Fraction(sign * 2**k, common), Fraction(-sign, common)], [0, 0]])
-            assert evaluate_relation(rep, rel) == expect == combination_residual(rep, rel), (k, sign)
+            assert evaluate_relation(rep, rel) == expect == fraction_residual(rep, rel), (k, sign)
 
 
 def coprime_pair(rng: random.Random, bits: int) -> tuple[int, int]:
@@ -374,7 +367,7 @@ def test_packed_zero_test_weighs_every_denominator(side, bits):
             mats[q.arrow((1, 0), 1, 3 - rho)] = RatMatrix(left)  # second arrow of the path starting with f_rho
             mats[q.arrow((0, 0), 1, rho)] = RatMatrix(right)
         rep = QuiverRep(4, mats)
-        residual = combination_residual(rep, rel)
+        residual = fraction_residual(rep, rel)
         assert not residual.is_zero()
         assert evaluate_relation(rep, rel) == residual
         assert_relations_match_oracle(rep)

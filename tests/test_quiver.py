@@ -181,6 +181,24 @@ def test_relation_sets_construct_no_arrow(monkeypatch):
     assert all(id(a) in own for rel in rels for p in rel.terms for a in p.arrows)
 
 
+def test_relation_sets_construct_no_path(monkeypatch):
+    """A relation element is a view of its integer row: a fresh quiver's
+    relation_sets makes no Path, and each element's paths are built only
+    when its terms are read."""
+    q = TiltingQuiver(6)
+    made = []
+    build = Path.__init__
+
+    def counted(self, arrows=()):
+        made.append(self)
+        build(self, arrows)
+
+    monkeypatch.setattr(Path, "__init__", counted)
+    rels = relation_sets(q)
+    assert len(rels) == 480 and made == []
+    assert len(rels[0].terms) == len(rels[0].arrow_terms) == len(made)
+
+
 def test_arrow_lookup_returns_the_quivers_arrow():
     q = build_quiver(5)
     for a in q.arrows:
@@ -455,15 +473,6 @@ def test_relation_sets_are_built_once_and_returned_fresh():
     assert all(a is b for a, b in zip(again, relation_sets(q)))
     built = [rel for lam, mu, _ in p2_pairs(q) for rel in relation_set_for(q, lam, mu)]
     assert [r.to_json() for r in again] == [r.to_json() for r in built]
-
-
-def test_relation_element_rejects_mismatched_paths():
-    from kq.quiver import RelationElement
-
-    q = build_quiver(4)
-    p = Path((q.arrow((0, 0), 1, 1), q.arrow((1, 0), 1, 2)))
-    with pytest.raises(ValueError):
-        RelationElement((0, 0), (1, 1), {p: 1})
 
 
 def test_sparse_echelon_keeps_its_quiver_name():
