@@ -7,7 +7,6 @@ from .linalg import RatMatrix, rat
 from .tableaux import (
     Partition,
     SkewShape,
-    SkewTableau,
     dominant_weights,
     enumerate_ssyt,
     gamma_set,
@@ -31,7 +30,6 @@ from .quiver import (
     build_quiver,
     enumerate_paths,
     graded_ideal_dim,
-    quotient_dim,
     relation_sets,
 )
 from .moduli import (

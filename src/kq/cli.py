@@ -318,23 +318,18 @@ def _echo_inputs(args) -> dict:
 
 
 def _human_lines(results, indent="") -> list[str]:
-    lines = []
     if isinstance(results, dict):
-        for key, value in results.items():
-            compact = json.dumps(value)
-            if isinstance(value, (dict, list)) and value and len(compact) > 72:
-                lines.append(f"{indent}{key}:")
-                lines.extend(_human_lines(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {compact}")
-    elif isinstance(results, list):
-        for item in results:
-            compact = json.dumps(item)
-            if isinstance(item, (dict, list)) and item and len(compact) > 72:
-                lines.append(f"{indent}-")
-                lines.extend(_human_lines(item, indent + "  "))
-            else:
-                lines.append(f"{indent}- {compact}")
+        pairs = [(f"{key}:", value) for key, value in results.items()]
+    else:
+        pairs = [("-", item) for item in results]
+    lines = []
+    for label, value in pairs:
+        compact = json.dumps(value)
+        if isinstance(value, (dict, list)) and value and len(compact) > 72:
+            lines.append(f"{indent}{label}")
+            lines.extend(_human_lines(value, indent + "  "))
+        else:
+            lines.append(f"{indent}{label} {compact}")
     return lines
 
 

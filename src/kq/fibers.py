@@ -167,18 +167,24 @@ def step_matrix(y: GrPoint, k: int, horizontal: bool, rho: int) -> RatMatrix:
     return _banded(k, horizontal, a1, a2, y.matrix._d)
 
 
+def seeded_point(n: int, tag: str, draw) -> GrPoint:
+    """The canonical point with the identity in columns 1-2 and draw(rng)
+    elsewhere, drawn column by column (row 1 first) from random.Random(tag)."""
+    rng = random.Random(tag)
+    rows = [[0] * n, [0] * n]
+    rows[0][0] = rows[1][1] = 1
+    for j in range(2, n):
+        for i in range(2):
+            rows[i][j] = draw(rng)
+    return GrPoint(RatMatrix(rows))
+
+
 @lru_cache(maxsize=None)
 def sample_point(n: int, seed) -> GrPoint:
     """Deterministic canonical point with integer coordinates in [-9, 9],
     for evaluation-rank sweeps (integer arithmetic keeps them fast).
     Cached: every pair of a sweep draws the same points."""
-    rng = random.Random(f"sample:{n}:{seed}")
-    rows = [[0] * n, [0] * n]
-    rows[0][0] = rows[1][1] = 1
-    for j in range(2, n):
-        for i in range(2):
-            rows[i][j] = rng.randint(-9, 9)
-    return GrPoint(RatMatrix(rows))
+    return seeded_point(n, f"sample:{n}:{seed}", lambda rng: rng.randint(-9, 9))
 
 
 @lru_cache(maxsize=None)
@@ -283,12 +289,11 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
     Equality certifies that compositions of elementary maps span the
     whole graded piece.  A block's functions lie in the alpha weight
     space of the constituents, whose dimension is mult = sum of
-    K_{gamma, alpha}; that bound only says when to stop, and sets the
-    block's own budget.
+    K_{gamma, alpha}; that bound only says when to stop.
 
     Per block, points are drawn one at a time and their rows are
-    eliminated mod `linalg.PRIME`, until the rank reaches mult or the
-    draw count reaches max(samples, 2 * ceil(mult / (d_lam * d_mu))).
+    eliminated mod `linalg.PRIME`, until the rank reaches mult or
+    max(samples, 1) draws in a row leave it where it was.
     Since rank mod p <= rank over Q, reaching mult mod p is exact; on a
     shortfall the exact integer rank of the same rows decides.  The
     report's `samples` is the largest draw count of any block.  Status
@@ -332,17 +337,18 @@ def _twist_class_report(n: int, lam: Partition, mu: Partition, samples: int, see
     rank = samples_drawn = 0
     short = []
     for alpha, orbit, mult in dominant_weights(lam, mu, n):
-        budget = max(samples, 2 * -(-mult // (d_lam * d_mu)))
         echelon = ModPrimeEchelon()
         rows: list[list[int]] = []
-        drawn = 0
+        drawn = stale = 0
         routes = _normal_routes(lam, mu, alpha)
-        while echelon.rank < mult and drawn < budget:
+        while echelon.rank < mult and stale < max(samples, 1):
+            before = echelon.rank
             for row in _normal_path_rows(sample_point(n, f"{seed}:{drawn}"), routes, d_lam, d_mu):
                 rows.append(row)
                 if echelon.insert(row) and echelon.rank == mult:
                     break
             drawn += 1
+            stale = stale + 1 if echelon.rank == before else 0
         block_rank = echelon.rank
         if block_rank < mult:
             exact = SparseEchelon()

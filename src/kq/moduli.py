@@ -32,7 +32,7 @@ from typing import Mapping
 
 # f_matrix and g_matrix stay bound here, where the benchmark tracer of
 # kqbench/ looks them up, though embed builds its matrices by step_matrix.
-from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, step_matrix  # noqa: F401
+from .fibers import GrPoint, f_matrix, g_matrix, reduce_point, seeded_point, step_matrix  # noqa: F401
 from .linalg import RatMatrix, _int_product, _json_int
 from .quiver import Arrow, RelationElement, TiltingQuiver, _relation_elements, build_quiver, relation_sets
 
@@ -152,11 +152,6 @@ class GaugeElement:
         g = object.__new__(cls)
         g.n, g.blocks = n, blocks
         return g
-
-    @classmethod
-    def identity(cls, n: int) -> "GaugeElement":
-        q = build_quiver(n)
-        return cls._trusted(n, {v: RatMatrix.identity(q.vertex_dim(v)) for v in q.vertices})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaugeElement):
@@ -417,13 +412,7 @@ def random_point(n: int, seed) -> GrPoint:
     entries p/q with |p| <= 99 and 1 <= q <= 99 elsewhere."""
     if n < 4:
         raise ValueError("need n >= 4")
-    rng = random.Random(f"point:{n}:{seed}")
-    rows = [[0] * n, [0] * n]
-    rows[0][0] = rows[1][1] = 1
-    for j in range(2, n):
-        for i in range(2):
-            rows[i][j] = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
-    return GrPoint(RatMatrix(rows))
+    return seeded_point(n, f"point:{n}:{seed}", lambda rng: Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
 
 
 def random_gauge(n: int, seed) -> GaugeElement:

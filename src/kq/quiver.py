@@ -283,17 +283,12 @@ def p2_pairs(q: TiltingQuiver) -> list[tuple[tuple[int, int], tuple[int, int], s
     return [(lam, mu, f) for lam in q.vertices for mu in q.vertices if (f := p2_family(q, lam, mu))]
 
 
-def square_coefficients(lam) -> tuple[int, int, int]:
-    """Coefficients (on: wedge-after-append path, append-after-wedge with
-    swapped columns, append-after-wedge) of the square relation at lam."""
-    d = lam[0] - lam[1]
-    return (d, -(d + 1), 1)
-
-
 def family_coefficients(family: str, lam) -> tuple[int, ...]:
-    """The coefficients of a family's terms, in RELATION_TERMS order."""
+    """The coefficients of a family's terms, in RELATION_TERMS order; the
+    square family's are (d, -(d + 1), 1) with d = lam1 - lam2."""
     if family == "square":
-        return square_coefficients(lam)
+        d = lam[0] - lam[1]
+        return (d, -(d + 1), 1)
     return (1, 1) if family == "diag" else (1, -1)
 
 
@@ -460,14 +455,6 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
 def graded_ideal_dim(q: TiltingQuiver, lam, mu) -> int:
     """Dimension of the slice of the relation ideal between two vertices."""
     return _ideal_slice(q, lam, mu).rank
-
-
-def quotient_dim(q: TiltingQuiver, lam, mu) -> int:
-    """Dimension of the path space modulo the relation ideal."""
-    lam, mu = tuple(lam), tuple(mu)
-    if lam == mu:
-        return 1
-    return path_count(q, lam, mu) - graded_ideal_dim(q, lam, mu)
 
 
 def containment_pairs(q: TiltingQuiver, max_degree: int, min_degree: int = 1) -> list[tuple]:

@@ -1,12 +1,13 @@
 """Young diagram combinatorics.
 
-Partitions, skew shapes and semistandard (skew) tableaux,
+Partitions, skew shapes and the enumeration of their semistandard
+fillings (each a tuple of rows; `ssyt-count` counts them),
 Littlewood-Richardson numbers by direct enumeration of lattice fillings,
 dimensions of irreducible GL(n) representations by the hook-content
 formula, the closed-form list of irreducible constituents of a two-row
-skew shape, two-row Kostka numbers, and the
-dominant torus weights of the graded map spaces.  The skew
-decomposition by enumeration and the Pieri rules, the oracles for
+skew shape, two-row Kostka numbers, and the dominant torus weights of
+the graded map spaces.  The skew decomposition by enumeration, the
+Pieri rules and the semistandard check of the fillings, the oracles for
 these, live in tests/test_tableaux.py.
 """
 
@@ -127,82 +128,13 @@ class SkewShape:
         """Boxes (row, col), 0-based, in reading order (rows, left to right)."""
         return [(r, c) for r, (lo, hi) in enumerate(self.row_bounds()) for c in range(lo, hi)]
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SkewShape):
-            return self.inner == other.inner and self.outer == other.outer
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.inner, self.outer))
-
     def __repr__(self) -> str:
         return f"SkewShape({self.inner.parts}/{self.outer.parts})"
 
-    def to_json(self) -> dict:
-        return {"inner": self.inner.to_json(), "outer": self.outer.to_json()}
 
-
-class SkewTableau:
-    """A semistandard filling of a skew shape.
-
-    Rows are weakly increasing left to right, columns strictly increasing
-    top to bottom.  The filling is stored row by row, covering only the
-    boxes of the shape.
-    """
-
-    __slots__ = ("shape", "rows")
-
-    def __init__(self, shape: SkewShape, rows: Sequence[Sequence[int]], check: bool = True):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
-        if check:
-            self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewTableau is immutable")
-
-    def _validate(self):
-        bounds = self.shape.row_bounds()
-        if len(self.rows) != len(bounds):
-            raise ValueError("row count mismatch")
-        for r, ((lo, hi), row) in enumerate(zip(bounds, self.rows)):
-            if len(row) != hi - lo:
-                raise ValueError(f"row {r} has wrong length")
-            if any(x < 1 for x in row):
-                raise ValueError("entries must be positive")
-            if any(row[k] > row[k + 1] for k in range(len(row) - 1)):
-                raise ValueError(f"row {r} is not weakly increasing")
-        for r in range(1, len(bounds)):
-            lo, hi = bounds[r]
-            lo_up, hi_up = bounds[r - 1]
-            for c in range(max(lo, lo_up), min(hi, hi_up)):
-                if self.entry(r, c) <= self.entry(r - 1, c):
-                    raise ValueError(f"column {c} is not strictly increasing")
-
-    def entry(self, r: int, c: int) -> int:
-        lo, hi = self.shape.row_bounds()[r]
-        if not (lo <= c < hi):
-            raise IndexError((r, c))
-        return self.rows[r][c - lo]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SkewTableau):
-            return self.shape == other.shape and self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
-
-    def __repr__(self) -> str:
-        lines = []
-        for (lo, _), row in zip(self.shape.row_bounds(), self.rows):
-            lines.append("." * lo + "".join(str(x) for x in row))
-        return "SkewTableau(" + "|".join(lines) + ")"
-
-
-def enumerate_ssyt(shape: SkewShape, max_entry: int) -> list[SkewTableau]:
-    """All semistandard fillings with entries in {1..max_entry}.
+def enumerate_ssyt(shape: SkewShape, max_entry: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All semistandard fillings with entries in {1..max_entry}, each a
+    tuple of row tuples covering only the boxes of the shape.
 
     Boxes are filled in reading order with backtracking; the output order
     is therefore deterministic (lexicographic in the reading word).
@@ -211,18 +143,12 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> list[SkewTableau]:
         raise ValueError("max_entry must be at least 1")
     bounds = shape.row_bounds()
     cells = shape.cells()
-    if not cells:
-        return [SkewTableau(shape, [() for _ in bounds], check=False)]
     filling: dict[tuple[int, int], int] = {}
-    out: list[SkewTableau] = []
-
-    def emit():
-        rows = [tuple(filling[(r, c)] for c in range(lo, hi)) for r, (lo, hi) in enumerate(bounds)]
-        out.append(SkewTableau(shape, rows, check=False))
+    out: list[tuple[tuple[int, ...], ...]] = []
 
     def fill(k: int):
         if k == len(cells):
-            emit()
+            out.append(tuple(tuple(filling[(r, c)] for c in range(lo, hi)) for r, (lo, hi) in enumerate(bounds)))
             return
         r, c = cells[k]
         lo = 1

@@ -133,9 +133,10 @@ def test_criterion_4_ideal_presentation():
 
 
 def test_criterion_5_surjectivity_rank():
-    """Evaluation rank of normal-path compositions, with a budget of at
-    least 40 seeded points per weight, equals the map-space dimension for
-    every pair with gap at most 3 at n = 4, 5, 6, and gap 4 at n = 5."""
+    """Evaluation rank of normal-path compositions, with seeded points
+    drawn per weight until 40 in a row add nothing, equals the map-space
+    dimension for every pair with gap at most 3 at n = 4, 5, 6, and gap 4
+    at n = 5."""
     t0 = time.monotonic()
     mismatches = []
     for n, min_gap, max_gap in ((4, 1, 3), (5, 1, 4), (6, 1, 3)):

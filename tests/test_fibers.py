@@ -347,8 +347,8 @@ def test_surjectivity_falls_back_to_exact_rank(monkeypatch):
 
     monkeypatch.setattr(linalg, "PRIME", 2)
     monkeypatch.setattr(fibers, "SparseEchelon", Spy)
-    # With samples=4 the (1,1,1,1) block may draw 2 * ceil(2 / 1) = 4
-    # points, and mod 2 their rows reach rank 1 of its 2.
+    # Mod 2 the rows of the (1,1,1,1) block stay at rank 1 of its 2
+    # until samples=4 draws in a row add nothing.
     r = surjectivity_rank(4, (0, 0), (2, 2), 4, "unit")
     assert exact_inserts and r["status"] == "ok" and r["rank"] == r["hom_dim"] == 20
 
@@ -370,7 +370,7 @@ def test_short_block_is_named_in_the_report(monkeypatch, capsys):
     r = surjectivity_rank(4, (0, 0), (1, 1), 10, "unit")
     assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("inconclusive", False, 6, 6)
     assert r["short_weights"] == [[[1, 1], 1, 2]]
-    assert r["samples"] == 10  # the (1,1) block spent its whole budget, max(10, 2 * ceil(2 / 1))
+    assert r["samples"] == 11  # the (1,1) block reached rank 1 at once, then drew 10 that added nothing
     code = run(["verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1", "--json"])
     assert code == 1 and '"short_weights":[[[1,1],1,2]]' in capsys.readouterr().out
 
@@ -397,9 +397,20 @@ def test_each_twist_class_is_computed_once():
     assert [(r["lam"], r["mu"]) for r in reports] == [(list(lam), list(mu)) for lam, mu in pairs]
 
 
-def test_a_changed_report_leaves_the_next_one_alone():
-    # One sample leaves the (1,1,1,1,1) block of this class short.
-    expected = {"rank": 2331, "hom_dim": 2352, "status": "inconclusive", "short_weights": [[[1, 1, 1, 1, 1], 9, 10]]}
+def test_a_block_draws_until_draws_stop_helping():
+    # The (1,1,1,1,1) block of this class reaches rank 7, 9 and 10 of its
+    # 10 in three draws.  With samples=1 it draws on as long as each draw
+    # raises its rank, so it is not left short at 9.
+    r = surjectivity_rank(7, (2, 0), (5, 2), 1, "0")
+    assert (r["status"], r["rank"], r["hom_dim"], r["samples"]) == ("ok", 2352, 2352, 3)
+
+
+@pytest.mark.usefixtures("fresh_class_cache")
+def test_a_changed_report_leaves_the_next_one_alone(monkeypatch):
+    # A multiplicity raised by one leaves the (1,1,1,1,1) block of this class short.
+    raised = lambda lam, mu, n: [(a, o, m + (a == (1, 1, 1, 1, 1))) for a, o, m in dominant_weights(lam, mu, n)]
+    monkeypatch.setattr(fibers, "dominant_weights", raised)
+    expected = {"rank": 2352, "hom_dim": 2352, "status": "inconclusive", "short_weights": [[[1, 1, 1, 1, 1], 10, 11]]}
     r = surjectivity_rank(7, (2, 0), (5, 2), 1, "0")
     assert {key: r[key] for key in expected} == expected
     r["rank"] = 0
@@ -422,8 +433,8 @@ def test_ok_report_keeps_its_keys():
 
 @pytest.mark.usefixtures("fresh_class_cache")
 def test_block_rank_depends_only_on_the_pair_and_the_weight(monkeypatch):
-    # One more than each multiplicity makes every block draw its whole
-    # budget and report the rank it reached under short_weights.
+    # One more than each multiplicity makes every block draw until 4
+    # draws in a row add nothing and report its rank under short_weights.
     raised = lambda lam, mu, n: [(a, o, m + 1) for a, o, m in dominant_weights(lam, mu, n)]
     monkeypatch.setattr(fibers, "dominant_weights", raised)
     for lam, mu in containment_pairs(build_quiver(5), 4):

@@ -19,15 +19,14 @@ from kq.quiver import (
     build_quiver,
     containment_pairs,
     enumerate_paths,
+    family_coefficients,
     graded_ideal_dim,
     kernel_report,
     p2_pairs,
     path_count,
-    quotient_dim,
     relation_rows,
     relation_set_for,
     relation_sets,
-    square_coefficients,
 )
 
 
@@ -138,9 +137,9 @@ def test_relation_counts_and_coefficients():
     assert len(relation_set_for(q, (2, 0), (2, 2))) == 10
     assert len(relation_set_for(q, (0, 0), (1, 1))) == 15
     assert len(relation_set_for(q, (1, 0), (2, 1))) == 25
-    assert square_coefficients((1, 0)) == (1, -2, 1)
-    assert square_coefficients((2, 0)) == (2, -3, 1)
-    assert square_coefficients((2, 1)) == (1, -2, 1)
+    assert family_coefficients("square", (1, 0)) == (1, -2, 1)
+    assert family_coefficients("square", (2, 0)) == (2, -3, 1)
+    assert family_coefficients("square", (2, 1)) == (1, -2, 1)
 
 
 def test_diagonal_relation_terms_n4():
@@ -235,11 +234,11 @@ def test_graded_ideal_dims_n4():
 
 def test_quotient_dims():
     q4 = build_quiver(4)
-    assert quotient_dim(q4, (0, 0), (1, 1)) == 6
-    assert quotient_dim(q4, (0, 0), (2, 0)) == 10
+    assert kernel_report(q4, (0, 0), (1, 1))["quotient_dim"] == 6
+    assert kernel_report(q4, (0, 0), (2, 0))["quotient_dim"] == 10
     q5 = build_quiver(5)
     assert path_count(q5, (1, 0), (2, 1)) == 50
-    assert quotient_dim(q5, (1, 0), (2, 1)) == 25
+    assert kernel_report(q5, (1, 0), (2, 1))["quotient_dim"] == 25
 
 
 def test_kernel_matches_hom_dims_n4_all_degrees():
@@ -452,7 +451,7 @@ def test_staircase_normal_paths_span_the_quotient():
                     if ech.insert({_letter_column(q, p): 1}):
                         added += 1
             assert ech.rank == len(paths)
-            assert added == quotient_dim(q, lam, mu)
+            assert added == kernel_report(q, lam, mu)["quotient_dim"]
 
 
 def test_relation_sets_cover_all_p2_pairs():

@@ -10,7 +10,6 @@ from kq.tableaux import (
     NotContainedError,
     Partition,
     SkewShape,
-    SkewTableau,
     dominant_weights,
     enumerate_ssyt,
     gamma_set,
@@ -95,12 +94,38 @@ def test_enumerate_ssyt_deterministic_and_unique():
 WORKED_SHAPE = SkewShape((3, 2, 2, 1), (6, 4, 4, 2))
 
 
+def is_semistandard(shape, rows, max_entry):
+    """A filling fits the shape row by row, has entries in 1..max_entry,
+    weakly increasing rows and strictly increasing columns."""
+    bounds = shape.row_bounds()
+    if len(rows) != len(bounds) or any(len(row) != hi - lo for (lo, hi), row in zip(bounds, rows)):
+        return False
+    entry = {(r, c): x for r, ((lo, _), row) in enumerate(zip(bounds, rows)) for c, x in enumerate(row, lo)}
+    return (
+        all(1 <= x <= max_entry for x in entry.values())
+        and all(x <= entry.get((r, c + 1), x) for (r, c), x in entry.items())
+        and all(x < entry.get((r + 1, c), x + 1) for (r, c), x in entry.items())
+    )
+
+
 def test_worked_tableaux_are_semistandard_fillings():
     """The worked tableau and the one with its corner entries swapped pass
     the semistandard check and are among the enumerated fillings."""
     fillings = set(enumerate_ssyt(WORKED_SHAPE, 3))
-    for rows in ([(1, 1, 3), (1, 2), (2, 3), (1,)], [(1, 1, 1), (1, 2), (2, 3), (3,)]):
-        assert SkewTableau(WORKED_SHAPE, rows) in fillings
+    for rows in (((1, 1, 3), (1, 2), (2, 3), (1,)), ((1, 1, 1), (1, 2), (2, 3), (3,))):
+        assert is_semistandard(WORKED_SHAPE, rows, 3)
+        assert rows in fillings
+
+
+def test_enumerated_fillings_are_semistandard():
+    assert not is_semistandard(WORKED_SHAPE, ((1, 1, 3), (1, 2), (1, 3), (1,)), 3)  # column 2 repeats 1
+    assert not is_semistandard(WORKED_SHAPE, ((1, 3, 1), (1, 2), (2, 3), (1,)), 3)  # row 0 decreases
+    for inner, outer, max_entry in (((), (2, 1), 3), ((1, 0), (2, 2), 3), ((2, 1), (4, 3, 1), 3), ((), (0,), 2)):
+        shape = SkewShape(inner, outer)
+        fillings = enumerate_ssyt(shape, max_entry)
+        assert fillings and all(is_semistandard(shape, rows, max_entry) for rows in fillings)
+    fillings = enumerate_ssyt(WORKED_SHAPE, 3)
+    assert len(fillings) > 2 and all(is_semistandard(WORKED_SHAPE, rows, 3) for rows in fillings)
 
 
 def test_lr_number_examples():
@@ -299,7 +324,7 @@ def test_kostka_counts_tableaux_by_content():
     for gam in two_row_partitions(6):
         for k in range(1, 5):
             tableaux = enumerate_ssyt(SkewShape((), gam), k)
-            by_content = Counter(tuple(sum(row.count(i) for row in t.rows) for i in range(1, k + 1)) for t in tableaux)
+            by_content = Counter(tuple(sum(row.count(i) for row in t) for i in range(1, k + 1)) for t in tableaux)
             for alpha in itertools.product(range(gam.size + 1), repeat=k):
                 if sum(alpha) == gam.size:
                     assert kostka(gam, alpha) == by_content[alpha], (gam, alpha)
