@@ -24,7 +24,6 @@ from .fibers import (
 )
 from .quiver import (
     Arrow,
-    Path,
     RelationElement,
     TiltingQuiver,
     build_quiver,

@@ -189,10 +189,6 @@ def _pair_reports(reports: list[dict]) -> tuple[dict, bool]:
 
 
 def cmd_verify_kernel(args) -> tuple[dict, bool]:
-    try:
-        qv.max_paths_limit()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     q = qv.build_quiver(args.n)
     return _pair_reports([qv.kernel_report(q, lam, mu) for lam, mu in _selected_pairs(q, args)])
 
@@ -355,7 +351,8 @@ def run(argv=None) -> int:
         print(f"command: {args.command}")
         for key, value in report["inputs"].items():
             print(f"  {key}: {value}")
-        for line in _human_lines(results, indent=""):
+        # the ok line below repeats the results' own ok, so it is printed once
+        for line in _human_lines({k: v for k, v in results.items() if k != "ok"}):
             print(line)
         print(f"ok: {str(ok).lower()}")
         print(f"elapsed_ms: {elapsed_ms}")

@@ -15,7 +15,9 @@ Graded slices of the ideal are computed by exact sparse elimination over
 the monomial path basis, extending lower-degree slices one arrow at a
 time.
 
-Slices hold no Path objects.  A path of L arrows has the column
+A path is a tuple of the quiver's arrows, tail first, so its first
+arrow is the rightmost factor of the product; slices hold no paths.  A
+path of L arrows has the column
 sum(letter_i * (2n)**(L-1-i)), letter = 2(rho - 1) + direction - 1, the
 tail arrow most significant; so the smallest column of a row is its
 leading term when paths compare arrow by arrow from the tail, smaller
@@ -29,7 +31,6 @@ and one of row ends, each in the narrowest signed array that holds it
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +41,7 @@ from typing import Iterable, NamedTuple
 from .linalg import SparseEchelon, rat_to_json
 from .tableaux import Partition, hom_dim
 
-DEFAULT_MAX_PATHS = 10**6
+MAX_PATHS = 10**6
 
 
 class BadNError(ValueError):
@@ -48,17 +49,7 @@ class BadNError(ValueError):
 
 
 class PathSpaceTooLargeError(RuntimeError):
-    """A graded path space exceeds the configured size guardrail."""
-
-
-def max_paths_limit() -> int:
-    raw = os.environ.get("KQ_MAX_PATHS")
-    if raw is None:
-        return DEFAULT_MAX_PATHS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"KQ_MAX_PATHS must be an integer, got {raw!r}") from exc
+    """A graded path space exceeds the MAX_PATHS guardrail."""
 
 
 @dataclass(frozen=True, order=True)
@@ -90,62 +81,13 @@ def vertex_key(v: tuple[int, int]) -> tuple[int, int]:
     return (v[0] + v[1], v[1])
 
 
-class Path:
-    """A composable sequence of arrows, stored tail first.
-
-    Consecutive arrows satisfy head(arrows[t]) = tail(arrows[t+1]); the
-    algebraic composition convention is right to left, i.e. arrows[0] is
-    the rightmost factor of the product.
-    """
-
-    __slots__ = ("arrows",)
-
-    def __init__(self, arrows: Iterable[Arrow] = ()):
-        arrows = tuple(arrows)
-        for a, b in zip(arrows, arrows[1:]):
-            if a.head != b.tail:
-                raise ValueError("arrows do not compose")
-        object.__setattr__(self, "arrows", arrows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Path is immutable")
-
-    @property
-    def tail(self) -> tuple[int, int] | None:
-        return self.arrows[0].tail if self.arrows else None
-
-    @property
-    def head(self) -> tuple[int, int] | None:
-        return self.arrows[-1].head if self.arrows else None
-
-    def __len__(self) -> int:
-        return len(self.arrows)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Path):
-            return self.arrows == other.arrows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.arrows)
-
-    def __repr__(self) -> str:
-        if not self.arrows:
-            return "Path(e)"
-        legs = [f"{'f' if a.direction == 1 else 'g'}{a.rho}@{a.tail}" for a in self.arrows]
-        return "Path(" + " then ".join(legs) + ")"
-
-    def to_json(self) -> dict:
-        return {"order": "right_to_left", "arrows": [a.to_json() for a in self.arrows]}
-
-
 class RelationElement:
     """One degree-two relation that maps to zero: a view of one row of
     relation_rows on a quiver's arrows.
 
     It keeps the row's integer terms (c, first, second), first and second
-    indices into q.arrows, as arrow_terms; `terms`, the Path -> coefficient
-    dict, is built on access."""
+    indices into q.arrows, as arrow_terms; `terms`, the dict from arrow
+    pairs (first, second) to coefficients, is built on access."""
 
     __slots__ = ("n", "tail", "head", "family", "indices", "arrow_terms", "_arrows")
 
@@ -164,9 +106,9 @@ class RelationElement:
         raise AttributeError("RelationElement is immutable")
 
     @property
-    def terms(self) -> dict[Path, int]:
+    def terms(self) -> dict[tuple[Arrow, Arrow], int]:
         arrows = self._arrows
-        return {Path((arrows[a], arrows[b])): c for c, a, b in self.arrow_terms}
+        return {(arrows[a], arrows[b]): c for c, a, b in self.arrow_terms}
 
     def __repr__(self) -> str:
         return f"RelationElement({self.family}{self.indices} {self.tail}->{self.head}, {len(self.arrow_terms)} terms)"
@@ -178,8 +120,8 @@ class RelationElement:
             "family": self.family,
             "indices": list(self.indices),
             "terms": [
-                {"coeff": rat_to_json(c), "path": p.to_json()}
-                for p, c in sorted(self.terms.items(), key=lambda kv: kv[0].arrows)
+                {"coeff": rat_to_json(c), "path": {"order": "right_to_left", "arrows": [a.to_json(), b.to_json()]}}
+                for (a, b), c in sorted(self.terms.items())
             ],
         }
 
@@ -351,25 +293,21 @@ def path_count(q: TiltingQuiver, lam, mu) -> int:
 
 
 def _check_path_space(count: int, lam, mu) -> None:
-    limit = max_paths_limit()
-    if count > limit:
-        raise PathSpaceTooLargeError(
-            f"{count} paths from {lam} to {mu} exceeds the guardrail of {limit}; "
-            "set KQ_MAX_PATHS to override"
-        )
+    if count > MAX_PATHS:
+        raise PathSpaceTooLargeError(f"{count} paths from {lam} to {mu} exceeds the guardrail of {MAX_PATHS}")
 
 
-def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[Path]:
-    """All monomial paths lam -> mu in increasing column order, by a
-    depth-first walk over the arrows in letter order; subject to the
-    path-space guardrail."""
+def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[tuple[Arrow, ...]]:
+    """All monomial paths lam -> mu, each a tuple of arrows tail first,
+    in increasing column order, by a depth-first walk over the arrows in
+    letter order; subject to the path-space guardrail."""
     lam, mu = tuple(lam), tuple(mu)
     _check_path_space(path_count(q, lam, mu), lam, mu)
     out = []
 
     def walk(v, trail):
         if v == mu:
-            out.append(Path(trail))
+            out.append(trail)
             return
         for a in sorted(q.arrows_from(v), key=lambda a: a.letter):
             if a.head[0] <= mu[0] and a.head[1] <= mu[1]:

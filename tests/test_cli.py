@@ -1,5 +1,6 @@
 """Command-line interface: subcommand payloads, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -169,7 +170,7 @@ def test_embed_check_reconstruct_files(tmp_path, capsys):
     assert code == 1 and report["results"]["error"] == "RelationsViolated"
 
 
-def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
+def test_malformed_inputs_exit_2(tmp_path, capsys):
     code, _ = invoke(capsys, "lr", "--lam", "x", "--gam", "1", "--mu", "1")
     assert code == 2
     code, _ = invoke(capsys, "quiver", "--n", "3")
@@ -240,9 +241,6 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, monkeypatch):
     bad.write_text(json.dumps(point_json))
     code, _ = invoke(capsys, "embed", "--point", str(bad))
     assert code == 2
-    monkeypatch.setenv("KQ_MAX_PATHS", "many")
-    code, _ = invoke(capsys, "verify-kernel", "--n", "4", "--lam", "0,0", "--mu", "1,1")
-    assert code == 2
 
 
 def test_not_contained_pair_gives_one_message(capsys):
@@ -283,6 +281,34 @@ def test_human_and_json_agree_on_verdict(capsys):
     assert report["ok"] is True
     assert report["inputs"] == {"lam": "0,0", "max_degree": 4, "mu": "2,1", "n": 4}  # no seed, no threads
     assert "elapsed_ms" in out_h and "elapsed_ms" not in json.dumps(report)
+
+
+def test_human_output_has_one_ok_line(tmp_path, capsys):
+    """The results' own ok is not printed again above the command's ok."""
+    rep = scramble(embed(random_point(4, "one ok")), random_gauge(4, "one ok"))
+    a = rep.quiver.arrow((1, 0), 1, 2)
+    rows = [list(rep.matrices[a].row(i)) for i in range(rep.matrices[a].rows)]
+    rows[0][0] += 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(QuiverRep(4, {**rep.matrices, a: RatMatrix(rows)}).to_json()))
+    for argv in (
+        ("verify-kernel", "--n", "4", "--lam", "0,0", "--mu", "1,1"),
+        ("verify-kernel", "--n", "4", "--max-degree", "1"),
+        ("verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1", "--samples", "8"),
+        ("roundtrip", "--n", "4", "--trials", "1"),
+        ("check", "--rep", str(bad)),
+    ):
+        code, out = invoke(capsys, *argv)
+        ok_lines = [line for line in out.splitlines() if line.startswith("ok:")]
+        assert ok_lines == [f"ok: {str(code == 0).lower()}"], argv
+
+
+def test_relations_json_is_unchanged(capsys):
+    """The relation JSON, arrow pairs written as right-to-left paths, is
+    pinned byte for byte."""
+    code, out = invoke(capsys, "relations", "--n", "5", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "adf055193974be5ee4b31e7de84d61c596ffe805414be3d477c779b1eab59fe6"
 
 
 def test_verify_surjectivity_json_is_byte_identical(capsys):

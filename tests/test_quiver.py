@@ -12,7 +12,6 @@ from kq import linalg, quiver
 from kq.quiver import (
     Arrow,
     BadNError,
-    Path,
     PathSpaceTooLargeError,
     SparseEchelon,
     TiltingQuiver,
@@ -77,13 +76,6 @@ def test_restriction_to_smaller_quiver():
 
 
 def test_path_composition_rules():
-    q = build_quiver(4)
-    a = q.arrow((0, 0), 1, 2)
-    b = q.arrow((1, 0), 2, 3)
-    p = Path((a, b))
-    assert p.tail == (0, 0) and p.head == (1, 1) and len(p) == 2
-    with pytest.raises(ValueError):
-        Path((b, a))
     with pytest.raises(ValueError):
         Arrow((1, 0), (2, 1), 1, 1)
 
@@ -92,33 +84,33 @@ def test_enumerate_paths_counts():
     q = build_quiver(4)
     assert len(enumerate_paths(q, (0, 0), (1, 1))) == 16
     assert len(enumerate_paths(q, (1, 0), (2, 1))) == 32
-    assert enumerate_paths(q, (1, 1), (1, 1)) == [Path()]
+    assert enumerate_paths(q, (1, 1), (1, 1)) == [()]
     assert enumerate_paths(q, (1, 1), (1, 0)) == []
 
 
 def test_path_space_guardrail(monkeypatch):
     q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
-    monkeypatch.setenv("KQ_MAX_PATHS", "10")
+    monkeypatch.setattr(quiver, "MAX_PATHS", 10)
     with pytest.raises(PathSpaceTooLargeError):
         enumerate_paths(q, (0, 0), (2, 0))
-    monkeypatch.setenv("KQ_MAX_PATHS", "1000000")
+    monkeypatch.setattr(quiver, "MAX_PATHS", 10**6)
     assert len(enumerate_paths(q, (0, 0), (2, 0))) == 36
 
 
 def test_kernel_report_keeps_the_guardrail(monkeypatch):
     q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
-    monkeypatch.setenv("KQ_MAX_PATHS", "10")
+    monkeypatch.setattr(quiver, "MAX_PATHS", 10)
     with pytest.raises(PathSpaceTooLargeError, match="36 paths from"):
         kernel_report(q, (0, 0), (2, 0))
 
 
 def test_verify_kernel_guardrail_exits_2():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, KQ_MAX_PATHS="10", PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "kq.cli", "verify-kernel", "--n", "6", "--lam", "0,0", "--mu", "2,0"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "kq.cli", "verify-kernel", "--n", "9", "--lam", "0,0", "--mu", "7,7"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
-    assert "guardrail" in done.stderr
+    assert done.stderr == "error: 9814143963178269 paths from (0, 0) to (7, 7) exceeds the guardrail of 1000000\n"
 
 
 def test_p2_families_n5():
@@ -151,51 +143,35 @@ def test_diagonal_relation_terms_n4():
     f2 = q.arrow((0, 0), 1, 2)
     g1 = q.arrow((1, 0), 2, 1)
     g2 = q.arrow((1, 0), 2, 2)
-    assert r.terms == {Path((f1, g2)): 1, Path((f2, g1)): 1}
+    assert r.terms == {(f1, g2): 1, (f2, g1): 1}
     rii = by_idx[(3, 3)]
     f3 = q.arrow((0, 0), 1, 3)
     g3 = q.arrow((1, 0), 2, 3)
-    assert rii.terms == {Path((f3, g3)): 2}
+    assert rii.terms == {(f3, g3): 2}
 
 
 def test_square_relation_terms():
     q = build_quiver(5)
     rels = {r.indices: r for r in relation_set_for(q, (2, 0), (3, 1))}
     r = rels[(1, 2)]
-    gf = Path((q.arrow((2, 0), 1, 1), q.arrow((3, 0), 2, 2)))
-    fg_swapped = Path((q.arrow((2, 0), 2, 2), q.arrow((2, 1), 1, 1)))
-    fg = Path((q.arrow((2, 0), 2, 1), q.arrow((2, 1), 1, 2)))
+    gf = (q.arrow((2, 0), 1, 1), q.arrow((3, 0), 2, 2))
+    fg_swapped = (q.arrow((2, 0), 2, 2), q.arrow((2, 1), 1, 1))
+    fg = (q.arrow((2, 0), 2, 1), q.arrow((2, 1), 1, 2))
     assert r.terms == {gf: 2, fg_swapped: -3, fg: 1}
 
 
 def test_relation_sets_construct_no_arrow(monkeypatch):
     """The relations are built on the quiver's own arrows: a fresh quiver's
-    relation_sets makes no Arrow, and every path arrow is one of q.arrows."""
+    relation_sets makes no Arrow, every path arrow is one of q.arrows, and
+    each element has one path per integer term."""
     q = TiltingQuiver(6)
     made = []
     monkeypatch.setattr(Arrow, "__post_init__", lambda self: made.append(self))
     rels = relation_sets(q)
-    assert rels and made == []
-    own = set(map(id, q.arrows))
-    assert all(id(a) in own for rel in rels for p in rel.terms for a in p.arrows)
-
-
-def test_relation_sets_construct_no_path(monkeypatch):
-    """A relation element is a view of its integer row: a fresh quiver's
-    relation_sets makes no Path, and each element's paths are built only
-    when its terms are read."""
-    q = TiltingQuiver(6)
-    made = []
-    build = Path.__init__
-
-    def counted(self, arrows=()):
-        made.append(self)
-        build(self, arrows)
-
-    monkeypatch.setattr(Path, "__init__", counted)
-    rels = relation_sets(q)
     assert len(rels) == 480 and made == []
-    assert len(rels[0].terms) == len(rels[0].arrow_terms) == len(made)
+    own = set(map(id, q.arrows))
+    assert all(id(a) in own for rel in rels for p in rel.terms for a in p)
+    assert all(len(rel.terms) == len(rel.arrow_terms) for rel in rels)
 
 
 def test_arrow_lookup_returns_the_quivers_arrow():
@@ -219,7 +195,7 @@ def test_relation_rows_are_the_relation_elements(n):
         assert len(rows) == len(rels) > 0
         for (indices, terms), rel in zip(rows, rels):
             assert (rel.tail, rel.head, rel.family, rel.indices) == (lam, mu, family, indices)
-            expect = [(c, Path((q.arrows[a], q.arrows[b]))) for c, a, b in terms]
+            expect = [(c, (q.arrows[a], q.arrows[b])) for c, a, b in terms]
             assert expect == [(c, p) for p, c in rel.terms.items()]
             assert all(type(c) is int and c for c, _, _ in terms)
 
@@ -269,7 +245,7 @@ def _direct_ideal_dim(q, lam, mu):
                 for p in lefts:
                     vec = {}
                     for mid, c in rel.terms.items():
-                        full = Path(s.arrows + mid.arrows + p.arrows)
+                        full = s + mid + p
                         i = index[full]
                         vec[i] = vec.get(i, 0) + int(c)
                     ech.insert(vec)
@@ -280,7 +256,7 @@ def _letter_column(q, path):
     """A path's column: the base-2n number of its arrow letters
     2(rho - 1) + direction - 1, the tail arrow most significant."""
     col = 0
-    for a in path.arrows:
+    for a in path:
         col = col * 2 * q.n + 2 * (a.rho - 1) + a.direction - 1
     return col
 
@@ -290,15 +266,15 @@ def _route_first_column(q, path):
     directions as a binary number, then the base-n number of the column
     indices minus one, both with the tail arrow most significant."""
     route = word = 0
-    for a in path.arrows:
+    for a in path:
         route = route * 2 + a.direction - 1
         word = word * q.n + a.rho - 1
     return route * q.n ** len(path) + word
 
 
 def _path_keyed_slice(q, lam, mu, cache, column=_letter_column):
-    """Reference: the ideal slice grown degree by degree over Path
-    objects, each extended path keyed by column(q, path).  Returns the
+    """Reference: the ideal slice grown degree by degree over arrow
+    tuples, each extended path keyed by column(q, path).  Returns the
     echelon and a dict from column to path."""
     if (lam, mu) in cache:
         return cache[(lam, mu)]
@@ -313,12 +289,12 @@ def _path_keyed_slice(q, lam, mu, cache, column=_letter_column):
             if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
                 sub_ech, sub_paths = _path_keyed_slice(q, lam, a.tail, cache, column)
                 for row in sub_ech.basis():
-                    ech.insert({column(q, Path(sub_paths[c].arrows + (a,))): x for c, x in row.items()})
+                    ech.insert({column(q, sub_paths[c] + (a,)): x for c, x in row.items()})
         for a in q.arrows_from(lam):
             if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
                 sub_ech, sub_paths = _path_keyed_slice(q, a.head, mu, cache, column)
                 for row in sub_ech.basis():
-                    ech.insert({column(q, Path((a,) + sub_paths[c].arrows)): x for c, x in row.items()})
+                    ech.insert({column(q, (a,) + sub_paths[c]): x for c, x in row.items()})
     cache[(lam, mu)] = (ech, paths)
     return ech, paths
 
@@ -446,7 +422,7 @@ def test_staircase_normal_paths_span_the_quotient():
                 assert ech.insert(dict(row))
             added = 0
             for p in paths:
-                directions = [a.direction for a in p.arrows]
+                directions = [a.direction for a in p]
                 if directions == sorted(directions):  # horizontal steps first
                     if ech.insert({_letter_column(q, p): 1}):
                         added += 1
@@ -511,8 +487,9 @@ def test_path_count_is_the_walk_count_times_n_to_the_length():
 def test_path_count_matches_enumerate_paths_in_column_order():
     """Every vertex pair for n = 4, 5, and n = 6 up to degree 4 (its
     degree-8 pair alone has 14 * 6**8 paths): the count, the endpoints,
-    and strictly increasing letter columns.  Pairs that are not contained
-    have no paths, and lam = mu has the empty path."""
+    strictly increasing letter columns, and consecutive arrows that
+    compose.  Pairs that are not contained have no paths, and lam = mu
+    has the empty path."""
     for n, max_degree in ((4, 4), (5, 6), (6, 4)):
         q = build_quiver(n)
         for lam in q.vertices:
@@ -521,10 +498,11 @@ def test_path_count_matches_enumerate_paths_in_column_order():
                     continue
                 paths = enumerate_paths(q, lam, mu)
                 assert len(paths) == path_count(q, lam, mu), (n, lam, mu)
-                assert all(p.tail == lam and p.head == mu for p in paths if len(p))
+                assert all(p[0].tail == lam and p[-1].head == mu for p in paths if p)
+                assert all(a.head == b.tail for p in paths for a, b in zip(p, p[1:])), (n, lam, mu)
                 cols = [_letter_column(q, p) for p in paths]
                 assert all(a < b for a, b in zip(cols, cols[1:])), (n, lam, mu)
-        assert enumerate_paths(q, (1, 1), (1, 1)) == [Path()]
+        assert enumerate_paths(q, (1, 1), (1, 1)) == [()]
         assert enumerate_paths(q, (2, 0), (1, 1)) == [] == enumerate_paths(q, (1, 1), (2, 0))
         for lam, mu in (((0, 1), (1, 1)), ((0, 0), (n, 0)), ((0, 0), (-1, 0))):
             with pytest.raises(ValueError):
@@ -553,7 +531,7 @@ def test_degree_two_leads_are_the_paths_the_rule_calls_not_normal():
     for n in (4, 5, 6):
         q = build_quiver(n)
         for lam, mu, _ in p2_pairs(q):
-            expect = {_letter_column(q, p) for p in enumerate_paths(q, lam, mu) if not _normal(*p.arrows)}
+            expect = {_letter_column(q, p) for p in enumerate_paths(q, lam, mu) if not _normal(*p)}
             assert _lead_terms(q, lam, mu) == expect, (n, lam, mu)
 
 
@@ -565,8 +543,8 @@ def _degree_three_failures(q, leads, column):
     for lam, mu in containment_pairs(q, 3, min_degree=3):
         generated = set()
         for p in enumerate_paths(q, lam, mu):
-            a, b, c = p.arrows
-            if column(q, Path((a, b))) in leads(lam, b.head) or column(q, Path((b, c))) in leads(a.head, mu):
+            a, b, c = p
+            if column(q, (a, b)) in leads(lam, b.head) or column(q, (b, c)) in leads(a.head, mu):
                 generated.add(column(q, p))
         unresolved, missing = leads(lam, mu) - generated, generated - leads(lam, mu)
         if unresolved or missing:
