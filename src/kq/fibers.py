@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon, _json_int
-from .tableaux import Partition, dominant_weights, hom_dim
+from .tableaux import Partition, dominant_weights, gamma_set, hom_dim
 
 
 class RankDeficientError(ValueError):
@@ -332,11 +332,12 @@ def _twist_class_report(n: int, lam: Partition, mu: Partition, samples: int, see
     """The body of the `surjectivity_rank` report of one pair, without
     lam and mu; `short_weights` entries are tuples (alpha, rank, mult).
     Cached, and called with the untwisted pair of each twist class."""
-    expected = hom_dim(lam, mu, n)  # NotContainedError unless lam < mu
+    gammas = gamma_set(lam, mu)  # NotContainedError unless lam < mu
+    expected = hom_dim(gammas, n)
     d_lam, d_mu = fiber_dim(lam), fiber_dim(mu)
     rank = samples_drawn = 0
     short = []
-    for alpha, orbit, mult in dominant_weights(lam, mu, n):
+    for alpha, orbit, mult in dominant_weights(gammas, n):
         echelon = ModPrimeEchelon()
         rows: list[list[int]] = []
         drawn = stale = 0

@@ -26,7 +26,8 @@ Only the slice under construction is a live SparseEchelon; a finished
 slice is cached packed (IdealSlice): its rank, and its basis rows in
 pivot order as one flat sequence of columns, one of exact coefficients
 and one of row ends, each in the narrowest signed array that holds it
-(see _narrow_array).
+(see _narrow_array).  Twisted pairs (lam + (t, t), mu + (t, t)) share one
+slice, cached under the pair with lam2 = 0 (see _ideal_slice).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import comb
 from typing import Iterable, NamedTuple
 
 from .linalg import SparseEchelon, rat_to_json
-from .tableaux import Partition, hom_dim
+from .tableaux import gamma_set, hom_dim
 
 MAX_PATHS = 10**6
 
@@ -351,12 +352,24 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
     eliminated in a SparseEchelon, but cached packed in _narrow_array
     fields.  Columns are below (2n)**L, so below 2**L times the path
     count, not below it.
+
+    Twisted pairs share one slice, cached and built at the untwisted key
+    (lam - (t, t), mu - (t, t)) with t = lam2.  The shift maps the paths
+    of [lam, mu] inside b <= a one to one onto those of the shifted pair;
+    p2_family and family_coefficients read only the step, whether
+    lam1 == lam2, and lam1 - lam2; letters read only direction and rho;
+    and arrows_into/arrows_from order arrows by vertex_key, whose order
+    the shift keeps.  So the same rows are inserted in the same order,
+    and the two slices are equal row for row.  The endpoints and the
+    guardrail are checked at the pair asked for, before the cache lookup,
+    so a refusal names that pair and does not depend on what is cached.
     """
     lam, mu = tuple(lam), tuple(mu)
-    key = (lam, mu)
+    _check_path_space(path_count(q, lam, mu), lam, mu)
+    t = lam[1]
+    lam, mu = key = ((lam[0] - t, 0), (mu[0] - t, mu[1] - t))
     if key in q._ideal_cache:
         return q._ideal_cache[key]
-    _check_path_space(path_count(q, lam, mu), lam, mu)
     length = (mu[0] - lam[0]) + (mu[1] - lam[1])
     radix = 2 * q.n
     ech = SparseEchelon()
@@ -414,7 +427,7 @@ def kernel_report(q: TiltingQuiver, lam, mu) -> dict:
     paths = path_count(q, lam, mu)
     ideal = graded_ideal_dim(q, lam, mu)
     quot = paths - ideal
-    hom = hom_dim(Partition(lam), Partition(mu), q.n)
+    hom = hom_dim(gamma_set(lam, mu), q.n)
     return {
         "lam": list(lam),
         "mu": list(mu),

@@ -287,10 +287,11 @@ def gamma_set(lam, mu) -> list[Partition]:
     return out
 
 
-def hom_dim(lam, mu, n: int) -> int:
-    """Total dimension of the constituents of the two-row skew shape mu/lam
-    as GL(n) representations."""
-    return sum(gl_dimension(g, n) for g in gamma_set(lam, mu))
+def hom_dim(gammas: Sequence[Partition], n: int) -> int:
+    """Total dimension of a graded map space mu/lam as a GL(n)
+    representation, from its constituents gammas = gamma_set(lam, mu):
+    the sum of their hook-content dimensions."""
+    return sum(gl_dimension(g, n) for g in gammas)
 
 
 def kostka(gam, alpha: Sequence[int]) -> int:
@@ -321,16 +322,16 @@ def kostka(gam, alpha: Sequence[int]) -> int:
     return ways.get(g1, 0) if placed == g1 + g2 else 0
 
 
-def dominant_weights(lam, mu, n: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """The torus weights of the graded map space mu/lam as a GL(n)
-    representation, one entry (alpha, orbit, mult) per dominant weight.
+def dominant_weights(gammas: Sequence[Partition], n: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The torus weights of a graded map space mu/lam as a GL(n)
+    representation, from its constituents gammas = gamma_set(lam, mu),
+    one entry (alpha, orbit, mult) per dominant weight.
 
     alpha runs over the partitions of |mu| - |lam| with at most n parts;
     orbit is the size of its S_n orbit in N^n and mult the multiplicity
-    sum over gamma_set(lam, mu) of K_{gamma, alpha}, shared by the whole
-    orbit.  The sum of orbit * mult is hom_dim(lam, mu, n).
+    sum over gammas of K_{gamma, alpha}, shared by the whole orbit.  The
+    sum of orbit * mult is hom_dim(gammas, n).
     """
-    gammas = gamma_set(lam, mu)
     out = []
     for alpha in _partitions_of(gammas[0].size, max_parts=n):
         orbit = factorial(n) // (factorial(n - len(alpha)) * prod(map(factorial, Counter(alpha).values())))

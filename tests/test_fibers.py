@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kq import fibers, linalg
+from kq import fibers, linalg, tableaux
 from kq.cli import run
 from kq.fibers import (
     GrPoint,
@@ -22,7 +22,7 @@ from kq.fibers import (
 from kq.linalg import RatMatrix
 from kq.moduli import random_point
 from kq.quiver import build_quiver, containment_pairs
-from kq.tableaux import NotContainedError, Partition, dominant_weights, hom_dim
+from kq.tableaux import NotContainedError, Partition, dominant_weights, gamma_set, hom_dim
 
 
 @pytest.fixture
@@ -219,7 +219,7 @@ def test_normal_paths_give_each_block_exactly_mult_columns():
     for n in (4, 5, 6):
         for lam, mu in containment_pairs(build_quiver(n), 2 * (n - 2)):
             d_lam, d_mu = fibers.fiber_dim(lam), fibers.fiber_dim(mu)
-            for alpha, _, mult in dominant_weights(lam, mu, n):
+            for alpha, _, mult in dominant_weights(gamma_set(lam, mu), n):
                 routes = fibers._normal_routes(Partition(lam), Partition(mu), alpha)
                 rows = fibers._normal_path_rows(sample_point(n, "count"), routes, d_lam, d_mu)
                 assert len(rows) == d_lam * d_mu and all(len(row) == mult for row in rows), (n, lam, mu, alpha)
@@ -255,9 +255,9 @@ def test_twisted_pairs_read_the_same_data():
             twisted += lam[1] > 0
             for end, base in ((lam, base_lam), (mu, base_mu)):
                 assert fibers.fiber_dim(end) == fibers.fiber_dim(base), (n, lam, mu)
-            assert hom_dim(lam, mu, n) == hom_dim(base_lam, base_mu, n), (n, lam, mu)
-            weights = dominant_weights(lam, mu, n)
-            assert weights == dominant_weights(base_lam, base_mu, n), (n, lam, mu)
+            assert hom_dim(gamma_set(lam, mu), n) == hom_dim(gamma_set(base_lam, base_mu), n), (n, lam, mu)
+            weights = dominant_weights(gamma_set(lam, mu), n)
+            assert weights == dominant_weights(gamma_set(base_lam, base_mu), n), (n, lam, mu)
             for alpha, _, _ in weights:
                 tree = fibers._normal_routes(Partition(lam), Partition(mu), alpha)
                 assert tree == fibers._normal_routes(Partition(base_lam), Partition(base_mu), alpha), (n, lam, mu, alpha)
@@ -311,7 +311,7 @@ def test_surjectivity_gap_four_reaches_hom_dim_with_40_samples():
     for lam, mu in pairs:
         r = surjectivity_rank(5, lam, mu, 40, "0")
         assert r["status"] == "ok" and r["ok"], r
-        assert r["rank"] == r["hom_dim"] == hom_dim(lam, mu, 5)
+        assert r["rank"] == r["hom_dim"] == hom_dim(gamma_set(lam, mu), 5)
 
 
 def exact_evaluation_rank(n, lam, mu, samples, seed):
@@ -355,7 +355,7 @@ def test_surjectivity_falls_back_to_exact_rank(monkeypatch):
 
 @pytest.mark.usefixtures("fresh_class_cache")
 def test_surjectivity_below_hom_dim_is_inconclusive(monkeypatch, capsys):
-    monkeypatch.setattr(fibers, "hom_dim", lambda lam, mu, n: hom_dim(lam, mu, n) + 1)
+    monkeypatch.setattr(fibers, "hom_dim", lambda gammas, n: hom_dim(gammas, n) + 1)
     r = surjectivity_rank(4, (0, 0), (1, 1), 10, "unit")
     assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("inconclusive", False, 6, 7)
     assert r["samples"] == 1  # each block stops at its own multiplicity, whatever hom_dim says
@@ -365,7 +365,7 @@ def test_surjectivity_below_hom_dim_is_inconclusive(monkeypatch, capsys):
 
 @pytest.mark.usefixtures("fresh_class_cache")
 def test_short_block_is_named_in_the_report(monkeypatch, capsys):
-    raised = lambda lam, mu, n: [(a, o, m + (a == (1, 1))) for a, o, m in dominant_weights(lam, mu, n)]
+    raised = lambda gammas, n: [(a, o, m + (a == (1, 1))) for a, o, m in dominant_weights(gammas, n)]
     monkeypatch.setattr(fibers, "dominant_weights", raised)
     r = surjectivity_rank(4, (0, 0), (1, 1), 10, "unit")
     assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("inconclusive", False, 6, 6)
@@ -373,6 +373,20 @@ def test_short_block_is_named_in_the_report(monkeypatch, capsys):
     assert r["samples"] == 11  # the (1,1) block reached rank 1 at once, then drew 10 that added nothing
     code = run(["verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1", "--json"])
     assert code == 1 and '"short_weights":[[[1,1],1,2]]' in capsys.readouterr().out
+
+
+@pytest.mark.usefixtures("fresh_class_cache")
+def test_constituents_are_built_once_per_class(monkeypatch):
+    calls = []
+
+    def counted(lam, mu):
+        calls.append((lam, mu))
+        return gamma_set(lam, mu)
+
+    monkeypatch.setattr(tableaux, "gamma_set", counted)
+    monkeypatch.setattr(fibers, "gamma_set", counted)
+    r = surjectivity_rank(5, (1, 0), (3, 2), 40, "once")
+    assert r["ok"] and calls == [(Partition((1,)), Partition((3, 2)))]
 
 
 def test_refusal_comes_before_untwisting():
@@ -408,7 +422,7 @@ def test_a_block_draws_until_draws_stop_helping():
 @pytest.mark.usefixtures("fresh_class_cache")
 def test_a_changed_report_leaves_the_next_one_alone(monkeypatch):
     # A multiplicity raised by one leaves the (1,1,1,1,1) block of this class short.
-    raised = lambda lam, mu, n: [(a, o, m + (a == (1, 1, 1, 1, 1))) for a, o, m in dominant_weights(lam, mu, n)]
+    raised = lambda gammas, n: [(a, o, m + (a == (1, 1, 1, 1, 1))) for a, o, m in dominant_weights(gammas, n)]
     monkeypatch.setattr(fibers, "dominant_weights", raised)
     expected = {"rank": 2352, "hom_dim": 2352, "status": "inconclusive", "short_weights": [[[1, 1, 1, 1, 1], 10, 11]]}
     r = surjectivity_rank(7, (2, 0), (5, 2), 1, "0")
@@ -435,7 +449,7 @@ def test_ok_report_keeps_its_keys():
 def test_block_rank_depends_only_on_the_pair_and_the_weight(monkeypatch):
     # One more than each multiplicity makes every block draw until 4
     # draws in a row add nothing and report its rank under short_weights.
-    raised = lambda lam, mu, n: [(a, o, m + 1) for a, o, m in dominant_weights(lam, mu, n)]
+    raised = lambda gammas, n: [(a, o, m + 1) for a, o, m in dominant_weights(gammas, n)]
     monkeypatch.setattr(fibers, "dominant_weights", raised)
     for lam, mu in containment_pairs(build_quiver(5), 4):
         blocks = {n: surjectivity_rank(n, lam, mu, 4, "n-free")["short_weights"] for n in (5, 8)}

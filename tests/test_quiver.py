@@ -9,6 +9,7 @@ from array import array
 import pytest
 
 from kq import linalg, quiver
+from kq.cli import run
 from kq.quiver import (
     Arrow,
     BadNError,
@@ -111,6 +112,29 @@ def test_verify_kernel_guardrail_exits_2():
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
     assert done.stderr == "error: 9814143963178269 paths from (0, 0) to (7, 7) exceeds the guardrail of 1000000\n"
+
+
+def test_guardrail_names_the_pair_asked_for(capsys):
+    """The path space is checked before a pair is untwisted, so a refusal
+    names the pair given and not its shift (0, 0) -> (7, 7)."""
+    message = "42900000000000000 paths from (1, 1) to (8, 8) exceeds the guardrail of 1000000"
+    with pytest.raises(PathSpaceTooLargeError) as exc:
+        kernel_report(TiltingQuiver(10), (1, 1), (8, 8))
+    assert str(exc.value) == message
+    assert run(["verify-kernel", "--n", "10", "--lam", "1,1", "--mu", "8,8"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_non_vertex_is_refused_whatever_is_cached():
+    """(5, 2) is no vertex at n=6, but the untwisted key of (4, 1) -> (5, 2)
+    is the pair (3, 0) -> (4, 1): the endpoints are checked before the
+    cache is read, so the refusal stays once that slice is cached."""
+    q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
+    for _ in range(2):
+        with pytest.raises(ValueError, match="endpoints must be quiver vertices"):
+            graded_ideal_dim(q, (4, 1), (5, 2))
+        graded_ideal_dim(q, (3, 0), (4, 1))
+    assert ((3, 0), (4, 1)) in q._ideal_cache
 
 
 def test_p2_families_n5():
@@ -317,7 +341,9 @@ def graded_ideal_basis(q, lam, mu):
 
 
 def test_integer_columns_match_path_keyed_slices():
-    for n in (4, 5):
+    # The reference builds each twisted slice at its own pair, unshifted;
+    # n=6 up to degree 4 covers every pair of the kernel benchmark.
+    for n in (4, 5, 6):
         q = TiltingQuiver(n)  # fresh instance, avoids the shared cache
         reference = {}
         for lam, mu in containment_pairs(q, 4):
@@ -325,6 +351,17 @@ def test_integer_columns_match_path_keyed_slices():
             record = quiver._ideal_slice(q, lam, mu)
             assert _slice_rows(record) == expect.basis(), (n, lam, mu)
             assert path_count(q, lam, mu) == len(paths)
+
+
+def test_twisted_pairs_share_one_slice():
+    """Each twist class (lam + (t, t), mu + (t, t)) is eliminated once, at
+    its pair with lam2 = 0: the 74 pairs of n=6 up to degree 4 need 37."""
+    q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
+    for lam, mu in containment_pairs(q, 4):
+        kernel_report(q, lam, mu)
+        assert all(key[0][1] == 0 for key in q._ideal_cache), (lam, mu)
+    assert len(q._ideal_cache) == 37
+    assert quiver._ideal_slice(q, (1, 1), (3, 2)) is quiver._ideal_slice(q, (0, 0), (2, 1))
 
 
 @pytest.mark.parametrize(

@@ -228,7 +228,7 @@ def test_gamma_set_shift_invariance():
 
 
 def test_hom_dim_example():
-    assert hom_dim((1, 0), (3, 2), 5) == 155
+    assert hom_dim(gamma_set((1, 0), (3, 2)), 5) == 155
 
 
 def test_lr_symmetry_small():
@@ -339,7 +339,7 @@ def test_dominant_weights_sum_to_hom_dim():
     # Checks the weight loop, the orbit sizes and the Kostka numbers together.
     for n in range(4, 9):
         for lam, mu in containment_pairs(build_quiver(n), 6):
-            weights = dominant_weights(lam, mu, n)
+            weights = dominant_weights(gamma_set(lam, mu), n)
             assert all(sum(alpha) == sum(mu) - sum(lam) and len(alpha) <= n for alpha, _, _ in weights)
-            assert sum(orbit * mult for _, orbit, mult in weights) == hom_dim(lam, mu, n), (n, lam, mu)
-    assert dominant_weights((0, 0), (1, 1), 4) == [((2,), 4, 0), ((1, 1), 6, 1)]
+            assert sum(orbit * mult for _, orbit, mult in weights) == hom_dim(gamma_set(lam, mu), n), (n, lam, mu)
+    assert dominant_weights(gamma_set((0, 0), (1, 1)), 4) == [((2,), 4, 0), ((1, 1), 6, 1)]
