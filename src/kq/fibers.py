@@ -277,9 +277,10 @@ def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
     dominant weights of `dominant_weights` are evaluated, each counted
     with its S_n orbit size.  A block's columns are the normal paths of
     content alpha over all routes (`_normal_routes`): the paths that
-    contain no leading term of a quadratic relation.  They form a basis
-    of the alpha part of the quotient, so there are exactly mult of
-    them and no column is spent on a relation.
+    contain no leading term of a quadratic relation.  Where the PBW
+    premise of `kq.quiver.kernel_report` holds they form a basis of the
+    alpha part of the quotient, and where its report is also `ok` there
+    are exactly mult of them and no column is spent on a relation.
 
     The certificate is one-sided whatever the points and whatever the
     set of paths.  The sample rank of a block is at most the dimension

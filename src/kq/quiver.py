@@ -13,7 +13,10 @@ relation check in kq.moduli reads; the degree-two ideal slices read the
 same rows.
 Graded slices of the ideal are computed by exact sparse elimination over
 the monomial path basis, extending lower-degree slices one arrow at a
-time.
+time.  kernel_report eliminates them only up to degree three: there they
+certify that the normal paths (normal_count) are a basis of the quotient
+(the PBW premise, see kernel_report), and above degree three a certified
+pair reads its ideal dimension off the path and normal-path counts.
 
 A path is a tuple of the quiver's arrows, tail first, so its first
 arrow is the rightmost factor of the product; slices hold no paths.  A
@@ -27,7 +30,8 @@ slice is cached packed (IdealSlice): its rank, and its basis rows in
 pivot order as one flat sequence of columns, one of exact coefficients
 and one of row ends, each in the narrowest signed array that holds it
 (see _narrow_array).  Twisted pairs (lam + (t, t), mu + (t, t)) share one
-slice, cached under the pair with lam2 = 0 (see _ideal_slice).
+slice, cached under the pair with lam2 = 0 (see _ideal_slice); so do
+normal counts and certificates.
 """
 
 from __future__ import annotations
@@ -155,7 +159,10 @@ class TiltingQuiver:
             self._out[a.tail].append(a)
             self._in[a.head].append(a)
         self._index = {(a.tail, a.direction, a.rho): k for k, a in enumerate(arrows)}
+        # per twist class, keyed by _untwist: IdealSlice, normal count, PBW certificate
         self._ideal_cache: dict = {}
+        self._normal_counts: dict = {}
+        self._certified: dict = {}
         self._relations: list[RelationElement] | None = None  # see _relation_elements
 
     def arrows_from(self, v) -> list[Arrow]:
@@ -293,6 +300,41 @@ def path_count(q: TiltingQuiver, lam, mu) -> int:
     return (comb(h + v, h) - crossing) * q.n ** (h + v)
 
 
+def _untwist(lam, mu) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The member (lam - (t, t), mu - (t, t)), t = lam2, of a pair's twist
+    class: the key of every per-class cache of a quiver."""
+    t = lam[1]
+    return (lam[0] - t, 0), (mu[0] - t, mu[1] - t)
+
+
+def normal_count(q: TiltingQuiver, lam, mu) -> int:
+    """The number of normal paths lam -> mu: paths whose columns rho
+    weakly decrease from the tail, and strictly decrease at each
+    horizontal -> vertical turn; that is, whose letters weakly decrease
+    from the tail.
+
+    Counted once per twist class (the shift maps the paths of one pair
+    one to one onto the other's and keeps every letter), by a transfer
+    from mu back to lam over the vertices of the interval: below[v][l] is
+    the number of normal paths v -> mu with every letter at most l."""
+    lam, mu = tuple(lam), tuple(mu)
+    if not path_count(q, lam, mu):  # refuses a non-vertex; 0 unless lam <= mu
+        return 0
+    key = _untwist(lam, mu)
+    if key not in q._normal_counts:
+        (l1, l2), (u1, u2) = key
+        letters = range(2 * q.n)
+        zero = [0] * len(letters)
+        below = {(u1, u2): [1] * len(letters)}
+        for a in range(u1, l1 - 1, -1):
+            for b in range(min(a, u2), l2 - 1, -1):
+                if (a, b) != (u1, u2):
+                    right, up = below.get((a + 1, b), zero), below.get((a, b + 1), zero)
+                    below[a, b] = list(accumulate((up if l % 2 else right)[l] for l in letters))
+        q._normal_counts[key] = below[l1, l2][-1]
+    return q._normal_counts[key]
+
+
 def _check_path_space(count: int, lam, mu) -> None:
     if count > MAX_PATHS:
         raise PathSpaceTooLargeError(f"{count} paths from {lam} to {mu} exceeds the guardrail of {MAX_PATHS}")
@@ -366,8 +408,7 @@ def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_path_space(path_count(q, lam, mu), lam, mu)
-    t = lam[1]
-    lam, mu = key = ((lam[0] - t, 0), (mu[0] - t, mu[1] - t))
+    lam, mu = key = _untwist(lam, mu)
     if key in q._ideal_cache:
         return q._ideal_cache[key]
     length = (mu[0] - lam[0]) + (mu[1] - lam[1])
@@ -420,14 +461,76 @@ def containment_pairs(q: TiltingQuiver, max_degree: int, min_degree: int = 1) ->
     return out
 
 
+def _pbw_premise(q: TiltingQuiver, lam, mu) -> bool:
+    """The PBW premise at a pair of degree two or three, read off its
+    eliminated ideal slice.  In degree two, the leading columns of the
+    slice (the smallest column of each row) are exactly the 2-paths that
+    are not normal, those whose second letter exceeds the first; in
+    degree three, the slice has dimension path_count - normal_count."""
+    lam, mu = tuple(lam), tuple(mu)
+    record = _ideal_slice(q, lam, mu)
+    if (mu[0] - lam[0]) + (mu[1] - lam[1]) == 3:
+        return record.rank == path_count(q, lam, mu) - normal_count(q, lam, mu)
+    radix = 2 * q.n
+    rule = {
+        a.letter * radix + b.letter
+        for a in q.arrows_from(lam)
+        for b in q.arrows_from(a.head)
+        if b.head == mu and b.letter > a.letter
+    }
+    starts = [0, *record.ends[:-1]]
+    return {min(record.cols[s:e]) for s, e in zip(starts, record.ends)} == rule
+
+
+def _pbw_certified(q: TiltingQuiver, lam, mu) -> bool:
+    """Whether the PBW premise holds at every pair of degree two or three
+    inside [lam, mu], for lam <= mu.  Cached per twist class; the pairs
+    inside are those of the intervals one step shorter at either end,
+    so each premise is evaluated once per quiver."""
+    key = _untwist(tuple(lam), tuple(mu))
+    if key not in q._certified:
+        lam, mu = key
+        length = (mu[0] - lam[0]) + (mu[1] - lam[1])
+        shorter = {(a.head, mu) for a in q.arrows_from(lam) if a.head[0] <= mu[0] and a.head[1] <= mu[1]}
+        shorter |= {(lam, a.tail) for a in q.arrows_into(mu) if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]}
+        q._certified[key] = all(_pbw_certified(q, *pair) for pair in shorter) and (
+            length not in (2, 3) or _pbw_premise(q, lam, mu)
+        )
+    return q._certified[key]
+
+
 def kernel_report(q: TiltingQuiver, lam, mu) -> dict:
     """Compare the quotient of the path space by the relation ideal with
-    the dimension of the target space of graded maps."""
+    the dimension of the target space of graded maps.
+
+    The ideal dimension is exact either way.  When the PBW premise holds
+    at every pair of degree two and three inside [lam, mu]
+    (_pbw_certified), it is paths - normal_count, and no slice above
+    degree three is built and no path is enumerated.  The argument: every
+    path lam -> mu runs through vertices of the interval, so I_{lam mu}
+    is the slice of the ideal that the relations between those vertices
+    generate in the subquiver of the interval.  Paths of one length,
+    compared by their letter columns, are ordered by a monomial order;
+    by the degree-two premise the leading terms of the quadratic
+    relations are exactly the 2-paths that are not normal, so the normal
+    paths, the paths that contain none of them, span the quotient in
+    every degree.  The degree-three premise says they are a basis in
+    degree three, which is where the overlaps of two leading 2-paths
+    live; by the diamond lemma (Bergman, Adv. Math. 29, 1978;
+    Polishchuk-Positselski, Quadratic Algebras, ch. 4) every overlap
+    then resolves, and the normal paths are a basis in every degree.
+    Otherwise the slice at the pair is eliminated (graded_ideal_dim),
+    subject to the path-space guardrail.  A pair that is not strictly
+    contained is refused before any count, premise or slice is cached.
+    """
     lam, mu = tuple(lam), tuple(mu)
     paths = path_count(q, lam, mu)
-    ideal = graded_ideal_dim(q, lam, mu)
+    hom = hom_dim(gamma_set(lam, mu), q.n)  # NotContainedError unless lam < mu
+    if _pbw_certified(q, lam, mu):
+        ideal = paths - normal_count(q, lam, mu)
+    else:
+        ideal = graded_ideal_dim(q, lam, mu)
     quot = paths - ideal
-    hom = hom_dim(gamma_set(lam, mu), q.n)
     return {
         "lam": list(lam),
         "mu": list(mu),

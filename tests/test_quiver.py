@@ -1,5 +1,7 @@
 """Quiver structure, relation families, and graded ideal dimensions."""
 
+import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -8,7 +10,7 @@ from array import array
 
 import pytest
 
-from kq import linalg, quiver
+from kq import fibers, linalg, quiver
 from kq.cli import run
 from kq.quiver import (
     Arrow,
@@ -22,12 +24,14 @@ from kq.quiver import (
     family_coefficients,
     graded_ideal_dim,
     kernel_report,
+    normal_count,
     p2_pairs,
     path_count,
     relation_rows,
     relation_set_for,
     relation_sets,
 )
+from kq.tableaux import NotContainedError, Partition, gamma_set, hom_dim
 
 
 def test_quiver_counts_n4():
@@ -99,30 +103,65 @@ def test_path_space_guardrail(monkeypatch):
 
 
 def test_kernel_report_keeps_the_guardrail(monkeypatch):
+    """A pair the premise does not certify is eliminated, under the
+    guardrail."""
     q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
     monkeypatch.setattr(quiver, "MAX_PATHS", 10)
+    monkeypatch.setattr(quiver, "_pbw_certified", lambda q, lam, mu: False)
     with pytest.raises(PathSpaceTooLargeError, match="36 paths from"):
         kernel_report(q, (0, 0), (2, 0))
 
 
-def test_verify_kernel_guardrail_exits_2():
+def test_verify_kernel_guardrail_exits_2(monkeypatch, capsys):
+    """Where the premise fails, verify-kernel eliminates the slice, and a
+    path space past the guardrail exits 2."""
+    monkeypatch.setattr(quiver, "_pbw_certified", lambda q, lam, mu: False)
+    assert run(["verify-kernel", "--n", "9", "--lam", "0,0", "--mu", "7,7"]) == 2
+    assert capsys.readouterr().err == "error: 9814143963178269 paths from (0, 0) to (7, 7) exceeds the guardrail of 1000000\n"
+
+
+def test_verify_kernel_certifies_a_pair_past_the_guardrail():
+    """A certified pair enumerates no path, so one with 9.8e15 paths is
+    answered, cold, from the counts."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "kq.cli", "verify-kernel", "--n", "9", "--lam", "0,0", "--mu", "7,7"]
+    argv = [sys.executable, "-m", "kq.cli", "verify-kernel", "--n", "9", "--lam", "0,0", "--mu", "7,7", "--json"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2, done.stderr
-    assert done.stderr == "error: 9814143963178269 paths from (0, 0) to (7, 7) exceeds the guardrail of 1000000\n"
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["paths"] == 9814143963178269
+    assert results["quotient_dim"] == results["hom_dim"] == 2760615 and results["ok"]
 
 
-def test_guardrail_names_the_pair_asked_for(capsys):
+def test_guardrail_names_the_pair_asked_for(monkeypatch, capsys):
     """The path space is checked before a pair is untwisted, so a refusal
     names the pair given and not its shift (0, 0) -> (7, 7)."""
+    monkeypatch.setattr(quiver, "_pbw_certified", lambda q, lam, mu: False)
     message = "42900000000000000 paths from (1, 1) to (8, 8) exceeds the guardrail of 1000000"
-    with pytest.raises(PathSpaceTooLargeError) as exc:
-        kernel_report(TiltingQuiver(10), (1, 1), (8, 8))
-    assert str(exc.value) == message
+    for ask in (graded_ideal_dim, kernel_report):
+        with pytest.raises(PathSpaceTooLargeError) as exc:
+            ask(TiltingQuiver(10), (1, 1), (8, 8))
+        assert str(exc.value) == message
     assert run(["verify-kernel", "--n", "10", "--lam", "1,1", "--mu", "8,8"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_refusals_cache_nothing():
+    """A pair that is not strictly contained is refused before any count,
+    premise or slice is cached, untwisted keys with a negative part
+    included ((2, 2) -> (3, 1) would be ((0, 0), (1, -1)))."""
+    q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
+    refusals = {
+        ((2, 2), (3, 1)): "(2, 2) is not strictly contained in (3, 1)",
+        ((3, 0), (2, 0)): "(3,) is not strictly contained in (2,)",
+        ((1, 1), (1, 1)): "(1, 1) is not strictly contained in (1, 1)",
+    }
+    for (lam, mu), message in refusals.items():
+        with pytest.raises(NotContainedError) as exc:
+            kernel_report(q, lam, mu)
+        assert str(exc.value) == message
+    assert q._ideal_cache == q._normal_counts == q._certified == {}
+    assert q._relations is None
 
 
 def test_a_non_vertex_is_refused_whatever_is_cached():
@@ -358,7 +397,7 @@ def test_twisted_pairs_share_one_slice():
     its pair with lam2 = 0: the 74 pairs of n=6 up to degree 4 need 37."""
     q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
     for lam, mu in containment_pairs(q, 4):
-        kernel_report(q, lam, mu)
+        graded_ideal_dim(q, lam, mu)
         assert all(key[0][1] == 0 for key in q._ideal_cache), (lam, mu)
     assert len(q._ideal_cache) == 37
     assert quiver._ideal_slice(q, (1, 1), (3, 2)) is quiver._ideal_slice(q, (0, 0), (2, 1))
@@ -607,3 +646,87 @@ def test_route_first_order_fails_the_degree_three_check():
 
     failures = _degree_three_failures(q, leads, _route_first_column)
     assert failures == {((0, 0), (2, 1)): (4, 0), ((1, 0), (2, 2)): (4, 0)}
+
+
+def test_certified_ideal_dims_match_elimination():
+    """kernel_report's ideal_dim against the eliminated slice at the pair
+    (the oracle) on every pair; every pair is certified, and the reports
+    build no slice above degree three."""
+    for n, max_degree in ((4, 6), (5, 6), (6, 4)):
+        q = TiltingQuiver(n)  # fresh instance, avoids the shared cache
+        pairs = containment_pairs(q, max_degree)
+        reports = [kernel_report(q, lam, mu) for lam, mu in pairs]
+        assert all(quiver._pbw_certified(q, lam, mu) for lam, mu in pairs)
+        assert max(sum(mu) - sum(lam) for lam, mu in q._ideal_cache) == 3
+        for (lam, mu), r in zip(pairs, reports):
+            assert r["ideal_dim"] == graded_ideal_dim(q, lam, mu), (n, lam, mu)
+
+
+def test_normal_count_is_hom_dim():
+    for n in range(4, 9):
+        q = build_quiver(n)
+        for lam, mu in containment_pairs(q, 2 * (n - 2)):
+            assert normal_count(q, lam, mu) == hom_dim(gamma_set(lam, mu), n), (n, lam, mu)
+        assert normal_count(q, (1, 1), (1, 1)) == 1
+        assert normal_count(q, (2, 0), (1, 1)) == 0 == normal_count(q, (1, 1), (2, 0))
+        with pytest.raises(ValueError, match="endpoints must be quiver vertices"):
+            normal_count(q, (0, 0), (0, 1))
+
+
+def _compositions(total, parts):
+    """Every tuple of parts non-negative integers summing to total."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        ends = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def _leaves(node):
+    """The paths of a fibers._normal_routes tree: None ends one."""
+    return 1 if node is None else sum(_leaves(child) for *_, child in node)
+
+
+def test_normal_count_is_the_leaves_of_the_normal_routes():
+    """The transfer count and the route trees of fibers read one rule:
+    summed over every content, the trees of a pair hold normal_count
+    paths."""
+    for n in (4, 5, 6):
+        q = build_quiver(n)
+        for lam, mu in itertools.product(q.vertices, repeat=2):
+            if lam[0] <= mu[0] and lam[1] <= mu[1]:
+                length = (mu[0] - lam[0]) + (mu[1] - lam[1])
+                trees = (fibers._normal_routes(Partition(lam), Partition(mu), alpha) for alpha in _compositions(length, n))
+                assert sum(map(_leaves, trees)) == normal_count(q, lam, mu), (n, lam, mu)
+
+
+def test_a_broken_relation_falls_back_to_elimination(monkeypatch):
+    """Mutation check: with the square coefficients (d, -(d + 2), 2) the
+    premise fails at six degree-3 pairs of n=5, and every report up to
+    degree 5 still carries the eliminated ideal dimension, some of them
+    not ok."""
+    original = quiver.family_coefficients
+
+    def broken(family, lam):
+        if family == "square":
+            d = lam[0] - lam[1]
+            return (d, -(d + 2), 2)
+        return original(family, lam)
+
+    monkeypatch.setattr(quiver, "family_coefficients", broken)
+    q = TiltingQuiver(5)  # fresh instances: the slices of the broken table
+    assert all(quiver._pbw_premise(q, *pair) for pair in containment_pairs(q, 2, min_degree=2))
+    assert len([pair for pair in containment_pairs(q, 3, min_degree=3) if not quiver._pbw_premise(q, *pair)]) == 6
+    q, oracle = TiltingQuiver(5), TiltingQuiver(5)
+    reports = [kernel_report(q, lam, mu) for lam, mu in containment_pairs(q, 5)]
+    assert all(r["ideal_dim"] == graded_ideal_dim(oracle, r["lam"], r["mu"]) for r in reports)
+    assert not all(r["ok"] for r in reports)
+
+
+def test_the_degree_two_premise_sees_a_changed_leading_term(monkeypatch):
+    """Mutation check: with 'ff' coefficients (1, 1) the relation at i == j
+    is 2 f_i f_i, whose leading 2-path is normal, so the premise fails at
+    exactly the 'ff' pairs of degree two."""
+    original = quiver.family_coefficients
+    monkeypatch.setattr(quiver, "family_coefficients", lambda f, lam: (1, 1) if f == "ff" else original(f, lam))
+    q = TiltingQuiver(5)  # fresh instance: the slices of the broken table
+    failing = [pair for pair in containment_pairs(q, 2, min_degree=2) if not quiver._pbw_premise(q, *pair)]
+    assert failing == [(lam, mu) for lam, mu, family in p2_pairs(q) if family == "ff"]
