@@ -7,7 +7,6 @@ from .linalg import RatMatrix, rat
 from .tableaux import (
     Partition,
     SkewShape,
-    dominant_weights,
     enumerate_ssyt,
     gamma_set,
     gl_dimension,

@@ -9,18 +9,16 @@ part; sum over wedge pairings with a section).  Their oracle from the
 definitions, and the staircase composition between two weights, live
 in tests/test_fibers.py.
 
-`surjectivity_rank` certifies that compositions along paths of the
-quiver span the graded map space, one torus weight at a time.  For each
-dominant weight alpha it evaluates the compositions along the normal
-paths of content alpha (columns weakly decreasing from the tail,
-strictly at each horizontal -> vertical turn; over all routes there
-are exactly as many as the weight's multiplicity, a sum of two-row
-Kostka numbers), at seeded integer points in plain integer arithmetic,
-with the step tables of each point cached and shared by every pair.  It
-eliminates mod a fixed prime until the rank reaches the multiplicity,
-falls back to an exact integer rank when it does not, and compares the
-block ranks, each counted with its S_n orbit size, with `hom_dim`.
-Since E_{lam+(1,1)} = E_lam (x) det Q, the twisted pairs
+`surjectivity_rank` decides exactly whether compositions along paths of
+the quiver span the graded map space.  Their span is a GL_n
+subrepresentation, so it is everything once it holds the highest-weight
+vectors: one block per constituent gamma, evaluated over the normal
+paths of content gamma (columns weakly decreasing from the tail,
+strictly at each horizontal -> vertical turn), or over every path of
+that content when the normal ones fall short.  A block reads columns 1
+and 2 of a point only, so one evaluation in plain integer arithmetic,
+at the identity in columns 1-2 and zeros elsewhere, gives its exact
+rank.  Since E_{lam+(1,1)} = E_lam (x) det Q, the twisted pairs
 (lam + (t, t), mu + (t, t)) have one map space and one report body,
 which is computed once per twist class and cached.
 """
@@ -31,8 +29,8 @@ import random
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .linalg import ModPrimeEchelon, RatMatrix, SparseEchelon, _json_int
-from .tableaux import Partition, dominant_weights, gamma_set, hom_dim
+from .linalg import RatMatrix, SparseEchelon, _json_int
+from .tableaux import Partition, gamma_set, gl_dimension, hom_dim
 
 
 class RankDeficientError(ValueError):
@@ -182,8 +180,8 @@ def seeded_point(n: int, tag: str, draw) -> GrPoint:
 @lru_cache(maxsize=None)
 def sample_point(n: int, seed) -> GrPoint:
     """Deterministic canonical point with integer coordinates in [-9, 9],
-    for evaluation-rank sweeps (integer arithmetic keeps them fast).
-    Cached: every pair of a sweep draws the same points."""
+    at which the step tables of `_point_steps` evaluate in integers.
+    Cached, so every caller with one seed gets the same point."""
     return seeded_point(n, f"sample:{n}:{seed}", lambda rng: rng.randint(-9, 9))
 
 
@@ -210,43 +208,49 @@ def _point_steps(y: GrPoint, k: int, horizontal: bool) -> tuple:
     return tuple(tables)
 
 
-def _normal_routes(lam: Partition, mu: Partition, alpha: Sequence[int]) -> tuple:
-    """The normal paths lam -> mu of content alpha (alpha[r] arrows with
-    column r + 1) as a prefix tree.
+def _routes(lam: Partition, mu: Partition, alpha: Sequence[int], normal: bool = True) -> tuple:
+    """The paths lam -> mu of content alpha (alpha[r] arrows with column
+    r + 1) as a prefix tree; with `normal`, only the normal paths.
 
     A path is normal when its columns rho weakly decrease from the tail,
     strictly at each horizontal -> vertical turn: it contains no leading
     term of a quadratic relation.  So its columns read alpha in
     decreasing order and only the route, inside a >= b and below mu, is
-    free.  A node is a tuple of branches (fiber dim at the arrow's tail,
-    horizontal, rho - 1, child), with child None after the last arrow;
-    routes that cannot finish are left out.
+    free; without the rule every order of the columns is taken.  A node
+    is a tuple of branches (fiber dim at the arrow's tail, horizontal,
+    rho - 1, child), with child None after the last arrow; routes that
+    cannot finish are left out.
     """
-    rhos = [r for r in reversed(range(len(alpha))) for _ in range(alpha[r])]
     u1, u2 = mu.padded(2)
 
-    memo: dict = {}  # subtrees shared by the routes that reach one state
+    memo: dict = {}  # subtrees shared by the paths that reach one state
 
-    def branches(i: int, a: int, b: int, after_h: bool) -> tuple:
-        if i == len(rhos):
+    def branches(left: tuple, a: int, b: int, turn: int) -> tuple:
+        """Subtree for the content `left` still to place from (a, b);
+        turn is the column of a horizontal arrow just taken under the
+        rule, else -1."""
+        if not any(left):
             return None
-        state = (i, a, b, after_h)
+        state = (left, a, b, turn)
         if state not in memo:
-            rho, moves = rhos[i], []
-            if a < u1:
-                moves.append((True, branches(i + 1, a + 1, b, True)))
-            if b < u2 and b < a and not (after_h and rhos[i - 1] == rho):
-                moves.append((False, branches(i + 1, a, b + 1, False)))
-            memo[state] = tuple((a - b + 1, h, rho, child) for h, child in moves if child != ())
+            rhos = [r for r, m in enumerate(left) if m]
+            moves = []
+            for rho in rhos[-1:] if normal else rhos:
+                rest = left[:rho] + (left[rho] - 1,) + left[rho + 1 :]
+                if a < u1:
+                    moves.append((True, rho, branches(rest, a + 1, b, rho if normal else -1)))
+                if b < u2 and b < a and rho != turn:
+                    moves.append((False, rho, branches(rest, a, b + 1, -1)))
+            memo[state] = tuple((a - b + 1, h, rho, child) for h, rho, child in moves if child != ())
         return memo[state]
 
-    return branches(0, *lam.padded(2), False)
+    return branches(tuple(alpha), *lam.padded(2), -1)
 
 
-def _normal_path_rows(y: GrPoint, routes: tuple, d_lam: int, d_mu: int) -> list[list[int]]:
-    """The compositions at one point of the paths of a `_normal_routes`
-    tree, as integer rows: one row per matrix entry (i, j), one column
-    per path.  The products share their common prefixes."""
+def _path_rows(y: GrPoint, routes: tuple, d_lam: int, d_mu: int) -> list[list[int]]:
+    """The compositions at one point of the paths of a `_routes` tree,
+    as integer rows: one row per matrix entry (i, j), one column per
+    path.  The products share their common prefixes."""
     thetas: list[list[list[int]]] = []
     steps: dict = {}  # _point_steps by (fiber dim, direction), without hashing the point per arrow
 
@@ -264,112 +268,113 @@ def _normal_path_rows(y: GrPoint, routes: tuple, d_lam: int, d_mu: int) -> list[
     return [[t[i][j] for t in thetas] for i in range(d_mu) for j in range(d_lam)]
 
 
-def surjectivity_rank(n: int, lam, mu, samples: int, seed) -> dict:
-    """Evaluation rank of the composition map on the paths lam -> mu,
-    certified one torus weight at a time.
+# The identity in columns 1-2 and zeros elsewhere.  A highest-weight block
+# reads columns 1 and 2 only, so four columns serve every n.
+_HIGHEST_WEIGHT_POINT = GrPoint(RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0]]))
 
-    Each step matrix is linear in the point column it reads, so the
-    composition theta_p along a path p is multihomogeneous of degree
-    content(p) in the columns of a 2 x n matrix, and functions of
-    different degrees are linearly independent: the evaluation rank
-    splits into one block per weight alpha.  Permuting the columns maps
-    block alpha onto block sigma(alpha) with the same rank, so only the
-    dominant weights of `dominant_weights` are evaluated, each counted
-    with its S_n orbit size.  A block's columns are the normal paths of
-    content alpha over all routes (`_normal_routes`): the paths that
-    contain no leading term of a quadratic relation.  Where the PBW
-    premise of `kq.quiver.kernel_report` holds they form a basis of the
-    alpha part of the quotient, and where its report is also `ok` there
-    are exactly mult of them and no column is spent on a relation.
 
-    The certificate is one-sided whatever the points and whatever the
-    set of paths.  The sample rank of a block is at most the dimension
-    of the span of its functions; those spans are independent subspaces
-    of the graded map space, so their dimensions sum to at most
-    `hom_dim`, and rank = sum of orbit * block rank <= hom_dim.
-    Equality certifies that compositions of elementary maps span the
-    whole graded piece.  A block's functions lie in the alpha weight
-    space of the constituents, whose dimension is mult = sum of
-    K_{gamma, alpha}; that bound only says when to stop.
+def surjectivity_rank(n: int, lam, mu, samples=None, seed=None) -> dict:
+    """Dimension of the span of the compositions along the paths
+    lam -> mu, decided exactly at the highest weights of the map space.
 
-    Per block, points are drawn one at a time and their rows are
-    eliminated mod `linalg.PRIME`, until the rank reaches mult or
-    max(samples, 1) draws in a row leave it where it was.
-    Since rank mod p <= rank over Q, reaching mult mod p is exact; on a
-    shortfall the exact integer rank of the same rows decides.  The
-    report's `samples` is the largest draw count of any block.  Status
-    `ok` when the rank equals hom_dim and every block its mult (with
-    true multiplicities either implies the other), `fail` when the rank
-    exceeds hom_dim (which the theory excludes), `inconclusive`
-    otherwise; a report that is not `ok` lists every block whose rank
-    differs from its mult as [alpha, rank, mult] under `short_weights`.
+    The argument, for the map space W of the pair at n:
+    1. Phi is GL_n-equivariant.  An arrow's matrix is M(y . v) for the
+       arrow's vector v in k^n and a map M linear in its column, so
+       theta_{v1..vL}(y . g) = theta_{g v1, .., g vL}(y), and the span Im
+       of the compositions is a GL_n-subrepresentation of
+       W = sum over gamma in gamma_set of S^gamma(k^n), which is
+       multiplicity free.
+    2. Each step matrix is linear in the point column it reads, so
+       theta_p is homogeneous of degree content(p) in the columns: Im is
+       graded by torus weight, and its weight-alpha part is spanned by
+       the paths of content alpha.  A composition is a map of bundles,
+       so it is determined by its values on the dense chart of canonical
+       points with the identity in columns 1-2, and each weight part
+       keeps its dimension when its functions are read on the chart.
+    3. Every gamma has at most two rows, so the paths of content gamma
+       read columns 1 and 2 only, which are the identity at every point
+       of the chart: their functions are constant there, and
+       r_j, the exact rank of one evaluation at the identity in columns
+       1-2 and zeros elsewhere, is the dimension of the gamma_j weight
+       space of Im.  No point is drawn and no prime is used.
+    4. gamma_set lists gamma_0, gamma_1, ... from least to most dominant,
+       and K_{gamma', gamma} is 1 for gamma' dominating gamma and 0
+       otherwise, so the weight gamma_j has multiplicity
+       mult_j = len(gammas) - j in W.  If Im holds c_i copies of
+       S^{gamma_i} (c_i in {0, 1}), then r_j = sum of c_i over i >= j.
+       So c_j = r_j - r_{j+1} (with r at len(gammas) equal to 0), and
+       rank = sum of c_j * gl_dimension(gamma_j, n) is the dimension of
+       Im.  In characteristic 0 a highest-weight vector generates its
+       irreducible copy (Fulton-Harris, Representation Theory, §15), so
+       Im = W exactly when every r_j = mult_j.
+
+    Where Phi kills the quadratic relations the normal paths
+    (`_routes`) span Im, and a block is first evaluated over them alone.
+    A block that falls short is evaluated again over every path of its
+    content, since a changed map may not kill the relations.  Status
+    `ok` when every r_j = mult_j, and then rank = hom_dim; otherwise
+    `fail`, which is exact (Phi is not onto), and the report lists
+    [gamma_j, r_j, mult_j] of every short block under `short_weights`.
+    Neither the blocks nor their multiplicities read n, so a twist class
+    gets the same status and short weights at every n where it exists.
+    A changed map that no longer gives maps of bundles breaks steps 1
+    and 2: tests/test_fibers.py checks that the status still matches
+    the exact evaluation rank under one such change, but `rank` need
+    not be a dimension then, and can exceed hom_dim.
+
+    `samples` and `seed` are accepted and ignored; they belong to the
+    sampled check this one replaced.
 
     Twisted pairs share one computation.  E_{lam+(1,1)} = E_lam (x)
     det Q, so the pair (lam + (t, t), mu + (t, t)) has the same map
     space as (lam, mu), and everything the report reads is the same:
-    the fiber dimensions, the routes inside a >= b, the constituents
-    and their Kostka numbers.  A strictly contained pair is untwisted to
+    the fiber dimensions, the routes inside a >= b and the
+    constituents.  A strictly contained pair is untwisted to
     (lam - (lam2, lam2), mu - (lam2, lam2)) and its report body is read
     from a per-process cache of twist classes; the report carries the
     lam and mu given.
     """
     lam, mu = Partition.coerce(lam), Partition.coerce(mu)
     # Only a strictly contained two-row pair is untwisted.  Any other
-    # keeps its parts, so hom_dim refuses it as given: untwisting
+    # keeps its parts, so gamma_set refuses it as given: untwisting
     # (2,2) -> (3,1) would give a negative part.
     inner, outer = lam, mu
     if mu.num_rows <= 2 and mu.contains(lam) and mu != lam:
         t = lam.part(1)
         inner, outer = Partition((lam.part(0) - t,)), Partition((mu.part(0) - t, mu.part(1) - t))
-    body = _twist_class_report(n, inner, outer, samples, seed)
+    body = _twist_class_report(n, inner, outer)
     report = {"lam": list(lam.padded(2)), "mu": list(mu.padded(2)), **body}
     if "short_weights" in body:
-        report["short_weights"] = [[list(alpha), rank, mult] for alpha, rank, mult in body["short_weights"]]
+        report["short_weights"] = [[list(gamma), rank, mult] for gamma, rank, mult in body["short_weights"]]
     return report
 
 
 @lru_cache(maxsize=None)
-def _twist_class_report(n: int, lam: Partition, mu: Partition, samples: int, seed) -> dict:
+def _twist_class_report(n: int, lam: Partition, mu: Partition) -> dict:
     """The body of the `surjectivity_rank` report of one pair, without
-    lam and mu; `short_weights` entries are tuples (alpha, rank, mult).
+    lam and mu; `short_weights` entries are tuples (gamma, rank, mult).
     Cached, and called with the untwisted pair of each twist class."""
     gammas = gamma_set(lam, mu)  # NotContainedError unless lam < mu
-    expected = hom_dim(gammas, n)
     d_lam, d_mu = fiber_dim(lam), fiber_dim(mu)
-    rank = samples_drawn = 0
-    short = []
-    for alpha, orbit, mult in dominant_weights(gammas, n):
-        echelon = ModPrimeEchelon()
-        rows: list[list[int]] = []
-        drawn = stale = 0
-        routes = _normal_routes(lam, mu, alpha)
-        while echelon.rank < mult and stale < max(samples, 1):
-            before = echelon.rank
-            for row in _normal_path_rows(sample_point(n, f"{seed}:{drawn}"), routes, d_lam, d_mu):
-                rows.append(row)
-                if echelon.insert(row) and echelon.rank == mult:
-                    break
-            drawn += 1
-            stale = stale + 1 if echelon.rank == before else 0
-        block_rank = echelon.rank
-        if block_rank < mult:
-            exact = SparseEchelon()
-            for row in rows:
-                exact.insert(dict(enumerate(row)))
-            block_rank = exact.rank
-        if block_rank != mult:
-            short.append((alpha, block_rank, mult))
-        rank += orbit * block_rank
-        samples_drawn = max(samples_drawn, drawn)
-    status = "fail" if rank > expected else "ok" if rank == expected and not short else "inconclusive"
+    ranks, short = [], []
+    for j, gamma in enumerate(gammas):
+        mult = len(gammas) - j
+        for normal in (True, False):  # every path of the content only if the normal ones fall short
+            echelon = SparseEchelon()
+            for row in _path_rows(_HIGHEST_WEIGHT_POINT, _routes(lam, mu, gamma.padded(2), normal), d_lam, d_mu):
+                echelon.insert(dict(enumerate(row)))
+            if echelon.rank == mult:
+                break
+        ranks.append(echelon.rank)
+        if echelon.rank != mult:
+            short.append((gamma.padded(2), echelon.rank, mult))
     body = {
         "words": n ** (mu.size - lam.size),
-        "samples": samples_drawn,
-        "rank": rank,
-        "hom_dim": expected,
-        "status": status,
-        "ok": status == "ok",
+        "rank": sum((r - above) * gl_dimension(g, n) for g, r, above in zip(gammas, ranks, ranks[1:] + [0])),
+        "hom_dim": hom_dim(gammas, n),
+        "status": "fail" if short else "ok",
+        "ok": not short,
     }
-    if status != "ok":
+    if short:
         body["short_weights"] = tuple(short)
     return body

@@ -9,12 +9,8 @@ alone; ``invert`` is a fraction-free (Bareiss) Gauss-Jordan elimination.
 ``Fraction`` values are built only on access: entries, rows, JSON and
 repr.  ``SparseEchelon`` is the one exact integer
 eliminator: rank and pivot columns, the graded slices of the relation
-ideal and the exact fallback of the surjectivity check all insert integer
-rows into it.
-``ModPrimeEchelon`` computes ranks of integer rows modulo the fixed prime
-``PRIME``: since the rank mod a prime never exceeds the rank over the
-rationals, reaching a known upper bound mod ``PRIME`` certifies the exact
-rank.  No floating point is used anywhere.
+ideal and the highest-weight blocks of the surjectivity check all insert
+integer rows into it.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -23,11 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
-
-
-# The largest prime below 2**30: residues stay one-digit CPython ints,
-# which made the row updates over twice as fast as with 2**61 - 1.
-PRIME = 1_073_741_789
 
 
 class SingularMatrixError(ValueError):
@@ -302,40 +293,3 @@ class SparseEchelon:
     def basis(self) -> list[dict[int, int]]:
         return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
-
-class ModPrimeEchelon:
-    """Integer rows reduced mod PRIME, inserted one at a time.
-
-    Each stored row is monic at its pivot and zero at the pivots of the
-    rows stored before it, so one pass in insertion order reduces a new
-    row against all of them.  Only the tail of a stored row from its
-    pivot on is kept, since the entries before it are zero.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[int]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def insert(self, row: Sequence[int]) -> bool:
-        """Reduce row against the echelon; add it if independent mod PRIME."""
-        p = PRIME
-        row = list(row)
-        # Entries are reduced once at the end: each update adds less than
-        # p**2 in size, and one reduction per entry is cheaper than one per
-        # update.
-        for pivot, tail in self.rows:
-            c = row[pivot] % p
-            if c:
-                row[pivot:] = [a - c * b for a, b in zip(row[pivot:], tail)]
-        row = [x % p for x in row]
-        pivot = next((i for i, x in enumerate(row) if x), None)
-        if pivot is None:
-            return False
-        inv = pow(row[pivot], -1, p)
-        self.rows.append((pivot, [x * inv % p for x in row[pivot:]]))
-        return True

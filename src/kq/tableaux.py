@@ -5,17 +5,14 @@ fillings (each a tuple of rows; `ssyt-count` counts them),
 Littlewood-Richardson numbers by direct enumeration of lattice fillings,
 dimensions of irreducible GL(n) representations by the hook-content
 formula, the closed-form list of irreducible constituents of a two-row
-skew shape, two-row Kostka numbers, and the dominant torus weights of
-the graded map spaces.  The skew decomposition by enumeration, the
-Pieri rules and the semistandard check of the fillings, the oracles for
-these, live in tests/test_tableaux.py.
+skew shape, and two-row Kostka numbers.  The skew decomposition by
+enumeration, the Pieri rules and the semistandard check of the fillings,
+the oracles for these, live in tests/test_tableaux.py.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
 from typing import Iterable, Sequence
 
 
@@ -225,19 +222,6 @@ def lr_number(lam, gam, mu) -> int:
     return _lr_fillings(shape, gam.parts)
 
 
-def _partitions_of(d: int, max_parts: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    if d == 0:
-        return [()]
-    if max_parts == 0:
-        return []
-    cap = d if cap is None else min(cap, d)
-    out = []
-    for first in range(cap, 0, -1):
-        for rest in _partitions_of(d - first, max_parts - 1, first):
-            out.append((first,) + rest)
-    return out
-
-
 def gl_dimension(gam, n: int) -> int:
     """Dimension of the irreducible GL(n) representation of highest weight
     gam, by the hook-content formula: prod over cells of (n + j - i) / hook."""
@@ -321,19 +305,3 @@ def kostka(gam, alpha: Sequence[int]) -> int:
         placed += a
     return ways.get(g1, 0) if placed == g1 + g2 else 0
 
-
-def dominant_weights(gammas: Sequence[Partition], n: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """The torus weights of a graded map space mu/lam as a GL(n)
-    representation, from its constituents gammas = gamma_set(lam, mu),
-    one entry (alpha, orbit, mult) per dominant weight.
-
-    alpha runs over the partitions of |mu| - |lam| with at most n parts;
-    orbit is the size of its S_n orbit in N^n and mult the multiplicity
-    sum over gammas of K_{gamma, alpha}, shared by the whole orbit.  The
-    sum of orbit * mult is hom_dim(gammas, n).
-    """
-    out = []
-    for alpha in _partitions_of(gammas[0].size, max_parts=n):
-        orbit = factorial(n) // (factorial(n - len(alpha)) * prod(map(factorial, Counter(alpha).values())))
-        out.append((alpha, orbit, sum(kostka(g, alpha) for g in gammas)))
-    return out

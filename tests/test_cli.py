@@ -118,12 +118,11 @@ def test_verify_kernel_sweep(capsys):
 
 
 def test_verify_surjectivity_single_pair(capsys):
-    code, report = invoke_json(
-        capsys, "verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1",
-        "--samples", "8", "--seed", "cli",
-    )
+    code, report = invoke_json(capsys, "verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1")
     assert code == 0
     assert report["results"]["rank"] == report["results"]["hom_dim"] == 6
+    assert report["inputs"] == {"lam": "0,0", "max_degree": 3, "mu": "1,1", "n": 4}  # no samples, no seed
+    assert "samples" not in report["results"]
 
 
 def test_roundtrip_command(capsys):
@@ -187,14 +186,19 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         ("verify-kernel", "--n", "4", "--max-degree", "-1"),
         ("verify-surjectivity", "--n", "4", "--max-degree", "0"),
         ("roundtrip", "--n", "4", "--trials", "-1"),
-        ("verify-surjectivity", "--n", "4", "--max-degree", "2", "--samples", "-3"),
     ):
         code, _ = invoke(capsys, *empty_sweep)
         assert code == 2, empty_sweep
     code, _ = invoke(capsys, "fg-matrix", "--k", "2", "--x", "1/0,1")
     assert code == 2
-    # --threads is gone, and --seed is only on the two commands that draw
-    for unknown in (("roundtrip", "--n", "4", "--threads", "4"), ("verify-kernel", "--n", "4", "--seed", "1")):
+    # --threads is gone, --seed is only on roundtrip, the one command that
+    # draws, and verify-surjectivity draws no sample
+    for unknown in (
+        ("roundtrip", "--n", "4", "--threads", "4"),
+        ("verify-kernel", "--n", "4", "--seed", "1"),
+        ("verify-surjectivity", "--n", "4", "--samples", "40"),
+        ("verify-surjectivity", "--n", "4", "--seed", "0"),
+    ):
         with pytest.raises(SystemExit) as exited:
             run(list(unknown))
         assert exited.value.code == 2, unknown
@@ -294,7 +298,7 @@ def test_human_output_has_one_ok_line(tmp_path, capsys):
     for argv in (
         ("verify-kernel", "--n", "4", "--lam", "0,0", "--mu", "1,1"),
         ("verify-kernel", "--n", "4", "--max-degree", "1"),
-        ("verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1", "--samples", "8"),
+        ("verify-surjectivity", "--n", "4", "--lam", "0,0", "--mu", "1,1"),
         ("roundtrip", "--n", "4", "--trials", "1"),
         ("check", "--rep", str(bad)),
     ):
@@ -312,7 +316,7 @@ def test_relations_json_is_unchanged(capsys):
 
 
 def test_verify_surjectivity_json_is_byte_identical(capsys):
-    args = ("verify-surjectivity", "--n", "4", "--max-degree", "2", "--seed", "s", "--json")
+    args = ("verify-surjectivity", "--n", "4", "--max-degree", "2", "--json")
     code1, out1 = invoke(capsys, *args)
     code2, out2 = invoke(capsys, *args)
     assert code1 == code2 == 0 and out1 == out2

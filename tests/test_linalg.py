@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from kq import linalg
 from kq.linalg import (
-    ModPrimeEchelon,
     RatMatrix,
     SingularMatrixError,
     rat,
@@ -283,23 +282,6 @@ def test_stacking_and_column_selection_keep_entries():
 @given(st.one_of(random_matrix_strategy(entries=rational), low_rank_matrix()))
 def test_pivot_columns_are_the_greedy_leftmost_block(m):
     assert m.pivot_columns() == greedy_pivot_columns(m)
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_matrix_strategy())
-def test_rank_mod_prime_matches_exact_rank(m):
-    echelon = ModPrimeEchelon()
-    for i in range(m.rows):
-        echelon.insert([int(x) for x in m.row(i)])
-    assert echelon.rank == m.rank()
-
-
-def test_rank_mod_small_prime_is_a_lower_bound(monkeypatch):
-    monkeypatch.setattr(linalg, "PRIME", 2)
-    m = RatMatrix([[1, 1, 0], [1, -1, 2], [2, 0, 2]])  # rank 2 over Q, 1 mod 2
-    echelon = ModPrimeEchelon()
-    assert [echelon.insert([int(x) for x in m.row(i)]) for i in range(3)] == [True, False, False]
-    assert echelon.rank == 1 < m.rank() == 2
 
 
 @settings(max_examples=60, deadline=None)

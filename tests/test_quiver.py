@@ -681,21 +681,24 @@ def _compositions(total, parts):
 
 
 def _leaves(node):
-    """The paths of a fibers._normal_routes tree: None ends one."""
+    """The paths of a fibers._routes tree: None ends one."""
     return 1 if node is None else sum(_leaves(child) for *_, child in node)
 
 
 def test_normal_count_is_the_leaves_of_the_normal_routes():
     """The transfer count and the route trees of fibers read one rule:
     summed over every content, the trees of a pair hold normal_count
-    paths."""
+    paths, and path_count paths with the rule off (checked below n = 6,
+    where no pair has more than 78,125 paths to count one by one)."""
     for n in (4, 5, 6):
         q = build_quiver(n)
         for lam, mu in itertools.product(q.vertices, repeat=2):
             if lam[0] <= mu[0] and lam[1] <= mu[1]:
                 length = (mu[0] - lam[0]) + (mu[1] - lam[1])
-                trees = (fibers._normal_routes(Partition(lam), Partition(mu), alpha) for alpha in _compositions(length, n))
-                assert sum(map(_leaves, trees)) == normal_count(q, lam, mu), (n, lam, mu)
+                for normal in (True, False) if n < 6 else (True,):
+                    count = normal_count if normal else path_count
+                    trees = (fibers._routes(Partition(lam), Partition(mu), alpha, normal) for alpha in _compositions(length, n))
+                    assert sum(map(_leaves, trees)) == count(q, lam, mu), (n, lam, mu, normal)
 
 
 def test_a_broken_relation_falls_back_to_elimination(monkeypatch):

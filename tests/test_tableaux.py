@@ -10,7 +10,6 @@ from kq.tableaux import (
     NotContainedError,
     Partition,
     SkewShape,
-    dominant_weights,
     enumerate_ssyt,
     gamma_set,
     gl_dimension,
@@ -335,11 +334,16 @@ def test_kostka_counts_tableaux_by_content():
         kostka((2,), (3, -1))
 
 
-def test_dominant_weights_sum_to_hom_dim():
-    # Checks the weight loop, the orbit sizes and the Kostka numbers together.
-    for n in range(4, 9):
-        for lam, mu in containment_pairs(build_quiver(n), 6):
-            weights = dominant_weights(gamma_set(lam, mu), n)
-            assert all(sum(alpha) == sum(mu) - sum(lam) and len(alpha) <= n for alpha, _, _ in weights)
-            assert sum(orbit * mult for _, orbit, mult in weights) == hom_dim(gamma_set(lam, mu), n), (n, lam, mu)
-    assert dominant_weights(gamma_set((0, 0), (1, 1)), 4) == [((2,), 4, 0), ((1, 1), 6, 1)]
+def test_highest_weight_multiplicity_counts_the_constituents_after_it():
+    # gamma_set lists the constituents from least to most dominant, and a
+    # two-row gamma' has the weight gamma exactly when it dominates gamma,
+    # so the weight gamma_j has multiplicity len(gammas) - j.
+    blocks = 0
+    for n in (5, 8, 12):
+        for lam, mu in containment_pairs(build_quiver(n), 2 * (n - 2)):
+            gammas = gamma_set(lam, mu)
+            for j, gamma in enumerate(gammas):
+                assert [kostka(other, gamma.parts) for other in gammas] == [int(i >= j) for i in range(len(gammas))], (lam, mu, gamma)
+                assert len(gammas) - j == sum(kostka(other, gamma.parts) for other in gammas)
+                blocks += 1
+    assert blocks == 3417
