@@ -27,7 +27,6 @@ from .quiver import (
     TiltingQuiver,
     build_quiver,
     enumerate_paths,
-    graded_ideal_dim,
     relation_sets,
 )
 from .moduli import (

@@ -6,7 +6,8 @@ fg-matrix), the moduli layer (embed, check, reconstruct, roundtrip) and
 the verification sweeps (verify-kernel, verify-surjectivity).  With
 --json the report is machine-readable and byte-identical across runs
 for identical inputs and seed; timing is only shown in human mode.
-Exit codes: 0 success, 1 verification failure, 2 malformed input.
+Exit codes: 0 success, 1 verification failure or a verify-kernel pair
+that the PBW premise leaves inconclusive, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ def run(argv=None) -> int:
     start = time.monotonic()
     try:
         results, ok = args.handler(args)
-    except (InputError, qv.BadNError, qv.PathSpaceTooLargeError, tableaux.NotContainedError) as exc:
+    except (InputError, qv.BadNError, tableaux.NotContainedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - start) * 1000)

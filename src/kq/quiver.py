@@ -9,52 +9,35 @@ and a three-term exchange around each square).  The degree-two relations
 are one integer table, relation_rows: per relation its index pair and
 its terms (c, first, second), first and second indices into q.arrows.
 A relation element is a view of one row, whose integer terms the
-relation check in kq.moduli reads; the degree-two ideal slices read the
-same rows.
-Graded slices of the ideal are computed by exact sparse elimination over
-the monomial path basis, extending lower-degree slices one arrow at a
-time.  kernel_report eliminates them only up to degree three: there they
-certify that the normal paths (normal_count) are a basis of the quotient
-(the PBW premise, see kernel_report), and above degree three a certified
-pair reads its ideal dimension off the path and normal-path counts.
+relation check in kq.moduli reads; the PBW premise reads the same rows,
+eliminating the ideal over the letter columns below in degrees two and
+three only (see kernel_report).
 
 A path is a tuple of the quiver's arrows, tail first, so its first
-arrow is the rightmost factor of the product; slices hold no paths.  A
-path of L arrows has the column
+arrow is the rightmost factor of the product.  A path of L arrows has
+the column
 sum(letter_i * (2n)**(L-1-i)), letter = 2(rho - 1) + direction - 1, the
 tail arrow most significant; so the smallest column of a row is its
 leading term when paths compare arrow by arrow from the tail, smaller
 rho first and horizontal first at equal rho.
-Only the slice under construction is a live SparseEchelon; a finished
-slice is cached packed (IdealSlice): its rank, and its basis rows in
-pivot order as one flat sequence of columns, one of exact coefficients
-and one of row ends, each in the narrowest signed array that holds it
-(see _narrow_array).  Twisted pairs (lam + (t, t), mu + (t, t)) share one
-slice, cached under the pair with lam2 = 0 (see _ideal_slice); so do
-normal counts and certificates.
+Twisted pairs (lam + (t, t), mu + (t, t)) share one set of degree-two
+rows, one normal count and one certificate, cached under the pair with
+lam2 = 0 (see _untwist).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 from math import comb
-from typing import Iterable, NamedTuple
 
 from .linalg import SparseEchelon, rat_to_json
 from .tableaux import gamma_set, hom_dim
 
-MAX_PATHS = 10**6
-
 
 class BadNError(ValueError):
     """The construction is defined for n >= 4 only."""
-
-
-class PathSpaceTooLargeError(RuntimeError):
-    """A graded path space exceeds the MAX_PATHS guardrail."""
 
 
 @dataclass(frozen=True, order=True)
@@ -159,10 +142,10 @@ class TiltingQuiver:
             self._out[a.tail].append(a)
             self._in[a.head].append(a)
         self._index = {(a.tail, a.direction, a.rho): k for k, a in enumerate(arrows)}
-        # per twist class, keyed by _untwist: IdealSlice, normal count, PBW certificate
-        self._ideal_cache: dict = {}
+        # per twist class, keyed by _untwist: letter rows, normal count, failed premise
+        self._letter_rows: dict = {}
         self._normal_counts: dict = {}
-        self._certified: dict = {}
+        self._premise_failures: dict = {}
         self._relations: list[RelationElement] | None = None  # see _relation_elements
 
     def arrows_from(self, v) -> list[Arrow]:
@@ -302,7 +285,10 @@ def path_count(q: TiltingQuiver, lam, mu) -> int:
 
 def _untwist(lam, mu) -> tuple[tuple[int, int], tuple[int, int]]:
     """The member (lam - (t, t), mu - (t, t)), t = lam2, of a pair's twist
-    class: the key of every per-class cache of a quiver."""
+    class: the key of every per-class cache of a quiver.  The shift maps
+    paths one to one and keeps letters, p2_family, family_coefficients
+    (which read the step, lam1 == lam2 and lam1 - lam2) and the vertex_key
+    order of arrows, so it keeps letter rows, normal count and premises."""
     t = lam[1]
     return (lam[0] - t, 0), (mu[0] - t, mu[1] - t)
 
@@ -335,17 +321,13 @@ def normal_count(q: TiltingQuiver, lam, mu) -> int:
     return q._normal_counts[key]
 
 
-def _check_path_space(count: int, lam, mu) -> None:
-    if count > MAX_PATHS:
-        raise PathSpaceTooLargeError(f"{count} paths from {lam} to {mu} exceeds the guardrail of {MAX_PATHS}")
-
-
 def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[tuple[Arrow, ...]]:
     """All monomial paths lam -> mu, each a tuple of arrows tail first,
     in increasing column order, by a depth-first walk over the arrows in
-    letter order; subject to the path-space guardrail."""
+    letter order.  Exponential in the degree, so no command calls it: it
+    serves the test oracles and the benchmark tracer."""
     lam, mu = tuple(lam), tuple(mu)
-    _check_path_space(path_count(q, lam, mu), lam, mu)
+    path_count(q, lam, mu)  # refuses a non-vertex
     out = []
 
     def walk(v, trail):
@@ -360,95 +342,6 @@ def enumerate_paths(q: TiltingQuiver, lam, mu) -> list[tuple[Arrow, ...]]:
     return out
 
 
-def _narrow_array(values: Iterable[int], bound: int) -> array | tuple[int, ...]:
-    """values, every |x| < bound, in the narrowest signed array typecode
-    of b, h, i, q that holds bound - 1; a tuple of ints past 64 bits, so
-    the stored values stay exact."""
-    for code in "bhiq":
-        if bound <= 1 << (8 * array(code).itemsize - 1):
-            return array(code, values)
-    return tuple(values)
-
-
-class IdealSlice(NamedTuple):
-    """A finished graded slice of the relation ideal, packed: its rank
-    and its echelon basis rows in pivot order.  Row k has the columns
-    cols[start:ends[k]] and the exact coefficients vals[start:ends[k]],
-    where start is ends[k - 1], or 0 for k = 0.  Each field is a
-    _narrow_array."""
-
-    rank: int
-    cols: array | tuple[int, ...]
-    vals: array | tuple[int, ...]
-    ends: array | tuple[int, ...]
-
-
-def _ideal_slice(q: TiltingQuiver, lam, mu) -> IdealSlice:
-    """The graded slice of the relation ideal between two vertices, over
-    the letter columns of the module docstring.
-
-    Built lazily by degree: the degree-two slices are the relation
-    bases themselves; longer slices are spanned by lower slices extended
-    by a single arrow a at the head (column c goes to c * 2n + letter(a))
-    or at the tail (to letter(a) * (2n)**(L-1) + c).  A slice is
-    eliminated in a SparseEchelon, but cached packed in _narrow_array
-    fields.  Columns are below (2n)**L, so below 2**L times the path
-    count, not below it.
-
-    Twisted pairs share one slice, cached and built at the untwisted key
-    (lam - (t, t), mu - (t, t)) with t = lam2.  The shift maps the paths
-    of [lam, mu] inside b <= a one to one onto those of the shifted pair;
-    p2_family and family_coefficients read only the step, whether
-    lam1 == lam2, and lam1 - lam2; letters read only direction and rho;
-    and arrows_into/arrows_from order arrows by vertex_key, whose order
-    the shift keeps.  So the same rows are inserted in the same order,
-    and the two slices are equal row for row.  The endpoints and the
-    guardrail are checked at the pair asked for, before the cache lookup,
-    so a refusal names that pair and does not depend on what is cached.
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    _check_path_space(path_count(q, lam, mu), lam, mu)
-    lam, mu = key = _untwist(lam, mu)
-    if key in q._ideal_cache:
-        return q._ideal_cache[key]
-    length = (mu[0] - lam[0]) + (mu[1] - lam[1])
-    radix = 2 * q.n
-    ech = SparseEchelon()
-    if length == 2:
-        arrows = q.arrows
-        for _, terms in relation_rows(q, lam, p2_family(q, lam, mu)):
-            ech.insert({arrows[a].letter * radix + arrows[b].letter: c for c, a, b in terms})
-    elif length > 2:
-        extensions = []  # (sub-slice, column scale, column offset)
-        for a in q.arrows_into(mu):
-            if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
-                extensions.append((_ideal_slice(q, lam, a.tail), radix, a.letter))
-        for a in q.arrows_from(lam):
-            if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
-                extensions.append((_ideal_slice(q, a.head, mu), 1, a.letter * radix ** (length - 1)))
-        for sub, scale, offset in extensions:
-            # every column is mapped once; each row takes its run of pairs
-            terms = zip([c * scale + offset for c in sub.cols], sub.vals)
-            start = 0
-            for end in sub.ends:
-                ech.insert(dict(islice(terms, end - start)))
-                start = end
-    rows = ech.basis()
-    vals = list(chain.from_iterable(map(dict.values, rows)))
-    q._ideal_cache[key] = IdealSlice(
-        ech.rank,
-        _narrow_array(chain.from_iterable(rows), radix**length),
-        _narrow_array(vals, max(map(abs, vals), default=0) + 1),
-        _narrow_array(accumulate(map(len, rows)), len(vals) + 1),
-    )
-    return q._ideal_cache[key]
-
-
-def graded_ideal_dim(q: TiltingQuiver, lam, mu) -> int:
-    """Dimension of the slice of the relation ideal between two vertices."""
-    return _ideal_slice(q, lam, mu).rank
-
-
 def containment_pairs(q: TiltingQuiver, max_degree: int, min_degree: int = 1) -> list[tuple]:
     """All vertex pairs lam < mu with min_degree <= |mu| - |lam| <= max_degree."""
     out = []
@@ -461,82 +354,107 @@ def containment_pairs(q: TiltingQuiver, max_degree: int, min_degree: int = 1) ->
     return out
 
 
+def _letter_rows(q: TiltingQuiver, lam, mu) -> list[dict[int, int]]:
+    """The degree-two relations lam -> mu as dicts from letter column to
+    coefficient, in relation_rows order; built once per twist class."""
+    key = _untwist(lam, mu)
+    if key not in q._letter_rows:
+        arrows, radix = q.arrows, 2 * q.n
+        q._letter_rows[key] = [
+            {arrows[a].letter * radix + arrows[b].letter: c for c, a, b in terms}
+            for _, terms in relation_rows(q, key[0], p2_family(q, *key))
+        ]
+    return q._letter_rows[key]
+
+
 def _pbw_premise(q: TiltingQuiver, lam, mu) -> bool:
-    """The PBW premise at a pair of degree two or three, read off its
-    eliminated ideal slice.  In degree two, the leading columns of the
-    slice (the smallest column of each row) are exactly the 2-paths that
-    are not normal, those whose second letter exceeds the first; in
-    degree three, the slice has dimension path_count - normal_count."""
+    """The PBW premise at a pair of degree two or three, read off the
+    slice of the ideal there, eliminated over letter columns.  In degree
+    two the slice is spanned by the relations, and its leading columns
+    (the smallest column of each row, its pivot) must be exactly the
+    2-paths that are not normal, those whose second letter exceeds the
+    first.  In degree three it is spanned by the relations extended by
+    one arrow a at the head (column c goes to c * 2n + letter(a)) or at
+    the tail (to letter(a) * (2n)**2 + c), and must have dimension
+    path_count - normal_count."""
     lam, mu = tuple(lam), tuple(mu)
-    record = _ideal_slice(q, lam, mu)
-    if (mu[0] - lam[0]) + (mu[1] - lam[1]) == 3:
-        return record.rank == path_count(q, lam, mu) - normal_count(q, lam, mu)
     radix = 2 * q.n
-    rule = {
-        a.letter * radix + b.letter
-        for a in q.arrows_from(lam)
-        for b in q.arrows_from(a.head)
-        if b.head == mu and b.letter > a.letter
-    }
-    starts = [0, *record.ends[:-1]]
-    return {min(record.cols[s:e]) for s, e in zip(starts, record.ends)} == rule
+    ech = SparseEchelon()
+    if (mu[0] - lam[0]) + (mu[1] - lam[1]) == 2:
+        for row in _letter_rows(q, lam, mu):
+            ech.insert(row)
+        rule = {
+            a.letter * radix + b.letter
+            for a in q.arrows_from(lam)
+            for b in q.arrows_from(a.head)
+            if b.head == mu and b.letter > a.letter
+        }
+        return set(ech.pivot_rows) == rule
+    for a in q.arrows_into(mu):
+        if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
+            for row in _letter_rows(q, lam, a.tail):
+                ech.insert({c * radix + a.letter: x for c, x in row.items()})
+    for a in q.arrows_from(lam):
+        if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
+            for row in _letter_rows(q, a.head, mu):
+                ech.insert({a.letter * radix**2 + c: x for c, x in row.items()})
+    return ech.rank == path_count(q, lam, mu) - normal_count(q, lam, mu)
 
 
-def _pbw_certified(q: TiltingQuiver, lam, mu) -> bool:
-    """Whether the PBW premise holds at every pair of degree two or three
-    inside [lam, mu], for lam <= mu.  Cached per twist class; the pairs
-    inside are those of the intervals one step shorter at either end,
-    so each premise is evaluated once per quiver."""
-    key = _untwist(tuple(lam), tuple(mu))
-    if key not in q._certified:
-        lam, mu = key
-        length = (mu[0] - lam[0]) + (mu[1] - lam[1])
-        shorter = {(a.head, mu) for a in q.arrows_from(lam) if a.head[0] <= mu[0] and a.head[1] <= mu[1]}
-        shorter |= {(lam, a.tail) for a in q.arrows_into(mu) if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]}
-        q._certified[key] = all(_pbw_certified(q, *pair) for pair in shorter) and (
-            length not in (2, 3) or _pbw_premise(q, lam, mu)
-        )
-    return q._certified[key]
+def _premise_failure(q: TiltingQuiver, lam, mu) -> tuple | None:
+    """The first pair of degree two or three inside [lam, mu], for
+    lam <= mu, in containment_pairs order, at which the PBW premise
+    fails; None when it holds at every one.  Cached per twist class and
+    shifted back to the coordinates of the pair given.  The pairs inside
+    are the pair itself and those of the intervals one step shorter at
+    either end, so each premise is evaluated once per quiver."""
+    lam, mu = tuple(lam), tuple(mu)
+    key = _untwist(lam, mu)
+    if key not in q._premise_failures:
+        low, high = key
+        shorter = {(a.head, high) for a in q.arrows_from(low) if a.head[0] <= high[0] and a.head[1] <= high[1]}
+        shorter |= {(low, a.tail) for a in q.arrows_into(high) if low[0] <= a.tail[0] and low[1] <= a.tail[1]}
+        failures = [f for pair in shorter if (f := _premise_failure(q, *pair))]
+        if (high[0] - low[0]) + (high[1] - low[1]) in (2, 3) and not _pbw_premise(q, low, high):
+            failures.append(key)
+        q._premise_failures[key] = min(failures, key=lambda f: (vertex_key(f[0]), vertex_key(f[1])), default=None)
+    failure, t = q._premise_failures[key], lam[1]
+    return failure and tuple((a + t, b + t) for a, b in failure)
 
 
 def kernel_report(q: TiltingQuiver, lam, mu) -> dict:
     """Compare the quotient of the path space by the relation ideal with
     the dimension of the target space of graded maps.
 
-    The ideal dimension is exact either way.  When the PBW premise holds
-    at every pair of degree two and three inside [lam, mu]
-    (_pbw_certified), it is paths - normal_count, and no slice above
-    degree three is built and no path is enumerated.  The argument: every
-    path lam -> mu runs through vertices of the interval, so I_{lam mu}
-    is the slice of the ideal that the relations between those vertices
-    generate in the subquiver of the interval.  Paths of one length,
-    compared by their letter columns, are ordered by a monomial order;
-    by the degree-two premise the leading terms of the quadratic
-    relations are exactly the 2-paths that are not normal, so the normal
-    paths, the paths that contain none of them, span the quotient in
-    every degree.  The degree-three premise says they are a basis in
-    degree three, which is where the overlaps of two leading 2-paths
-    live; by the diamond lemma (Bergman, Adv. Math. 29, 1978;
-    Polishchuk-Positselski, Quadratic Algebras, ch. 4) every overlap
-    then resolves, and the normal paths are a basis in every degree.
-    Otherwise the slice at the pair is eliminated (graded_ideal_dim),
-    subject to the path-space guardrail.  A pair that is not strictly
-    contained is refused before any count, premise or slice is cached.
+    When the PBW premise holds at every pair of degree two and three
+    inside [lam, mu], quotient_dim = normal_count exactly, with no slice
+    above degree three built and no path enumerated: the normal paths
+    are a basis of the quotient.  Every path lam -> mu runs through
+    vertices of the interval, so I_{lam mu} is the slice of the ideal
+    that the relations between those vertices generate in the subquiver
+    of the interval.  Paths of one length, compared by their letter
+    columns, are ordered by a monomial order; by the degree-two premise
+    the leading terms of the quadratic relations are exactly the 2-paths
+    that are not normal, so the normal paths, the paths that contain
+    none of them, span the quotient in every degree.  The degree-three
+    premise says they are a basis in degree three, where the overlaps of
+    two leading 2-paths live; by the diamond lemma (Bergman, Adv. Math.
+    29, 1978; Polishchuk-Positselski, Quadratic Algebras, ch. 4) every
+    overlap then resolves, and they are a basis in every degree.
+
+    Otherwise (under a changed relation table, say) the report has
+    status 'inconclusive', ok false, no ideal_dim or quotient_dim, and
+    names in premise_failed the first pair whose premise failed (see
+    _premise_failure).  A pair that is not strictly contained is refused
+    before any count, row or premise is cached.
     """
     lam, mu = tuple(lam), tuple(mu)
     paths = path_count(q, lam, mu)
+    report = {"lam": list(lam), "mu": list(mu), "paths": paths}
     hom = hom_dim(gamma_set(lam, mu), q.n)  # NotContainedError unless lam < mu
-    if _pbw_certified(q, lam, mu):
-        ideal = paths - normal_count(q, lam, mu)
-    else:
-        ideal = graded_ideal_dim(q, lam, mu)
-    quot = paths - ideal
-    return {
-        "lam": list(lam),
-        "mu": list(mu),
-        "paths": paths,
-        "ideal_dim": ideal,
-        "quotient_dim": quot,
-        "hom_dim": hom,
-        "ok": quot == hom,
-    }
+    failure = _premise_failure(q, lam, mu)
+    if failure:
+        named = {"lam": list(failure[0]), "mu": list(failure[1])}
+        return {**report, "hom_dim": hom, "status": "inconclusive", "premise_failed": named, "ok": False}
+    quot = normal_count(q, lam, mu)
+    return {**report, "ideal_dim": paths - quot, "quotient_dim": quot, "hom_dim": hom, "ok": quot == hom}

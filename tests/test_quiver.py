@@ -6,7 +6,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from array import array
 
 import pytest
 
@@ -15,14 +14,12 @@ from kq.cli import run
 from kq.quiver import (
     Arrow,
     BadNError,
-    PathSpaceTooLargeError,
     SparseEchelon,
     TiltingQuiver,
     build_quiver,
     containment_pairs,
     enumerate_paths,
     family_coefficients,
-    graded_ideal_dim,
     kernel_report,
     normal_count,
     p2_pairs,
@@ -93,34 +90,7 @@ def test_enumerate_paths_counts():
     assert enumerate_paths(q, (1, 1), (1, 0)) == []
 
 
-def test_path_space_guardrail(monkeypatch):
-    q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
-    monkeypatch.setattr(quiver, "MAX_PATHS", 10)
-    with pytest.raises(PathSpaceTooLargeError):
-        enumerate_paths(q, (0, 0), (2, 0))
-    monkeypatch.setattr(quiver, "MAX_PATHS", 10**6)
-    assert len(enumerate_paths(q, (0, 0), (2, 0))) == 36
-
-
-def test_kernel_report_keeps_the_guardrail(monkeypatch):
-    """A pair the premise does not certify is eliminated, under the
-    guardrail."""
-    q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
-    monkeypatch.setattr(quiver, "MAX_PATHS", 10)
-    monkeypatch.setattr(quiver, "_pbw_certified", lambda q, lam, mu: False)
-    with pytest.raises(PathSpaceTooLargeError, match="36 paths from"):
-        kernel_report(q, (0, 0), (2, 0))
-
-
-def test_verify_kernel_guardrail_exits_2(monkeypatch, capsys):
-    """Where the premise fails, verify-kernel eliminates the slice, and a
-    path space past the guardrail exits 2."""
-    monkeypatch.setattr(quiver, "_pbw_certified", lambda q, lam, mu: False)
-    assert run(["verify-kernel", "--n", "9", "--lam", "0,0", "--mu", "7,7"]) == 2
-    assert capsys.readouterr().err == "error: 9814143963178269 paths from (0, 0) to (7, 7) exceeds the guardrail of 1000000\n"
-
-
-def test_verify_kernel_certifies_a_pair_past_the_guardrail():
+def test_verify_kernel_answers_a_pair_of_ten_to_the_sixteen_paths():
     """A certified pair enumerates no path, so one with 9.8e15 paths is
     answered, cold, from the counts."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -133,22 +103,9 @@ def test_verify_kernel_certifies_a_pair_past_the_guardrail():
     assert results["quotient_dim"] == results["hom_dim"] == 2760615 and results["ok"]
 
 
-def test_guardrail_names_the_pair_asked_for(monkeypatch, capsys):
-    """The path space is checked before a pair is untwisted, so a refusal
-    names the pair given and not its shift (0, 0) -> (7, 7)."""
-    monkeypatch.setattr(quiver, "_pbw_certified", lambda q, lam, mu: False)
-    message = "42900000000000000 paths from (1, 1) to (8, 8) exceeds the guardrail of 1000000"
-    for ask in (graded_ideal_dim, kernel_report):
-        with pytest.raises(PathSpaceTooLargeError) as exc:
-            ask(TiltingQuiver(10), (1, 1), (8, 8))
-        assert str(exc.value) == message
-    assert run(["verify-kernel", "--n", "10", "--lam", "1,1", "--mu", "8,8"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
 def test_refusals_cache_nothing():
     """A pair that is not strictly contained is refused before any count,
-    premise or slice is cached, untwisted keys with a negative part
+    row or premise is cached, untwisted keys with a negative part
     included ((2, 2) -> (3, 1) would be ((0, 0), (1, -1)))."""
     q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
     refusals = {
@@ -160,20 +117,20 @@ def test_refusals_cache_nothing():
         with pytest.raises(NotContainedError) as exc:
             kernel_report(q, lam, mu)
         assert str(exc.value) == message
-    assert q._ideal_cache == q._normal_counts == q._certified == {}
+    assert q._letter_rows == q._normal_counts == q._premise_failures == {}
     assert q._relations is None
 
 
 def test_a_non_vertex_is_refused_whatever_is_cached():
     """(5, 2) is no vertex at n=6, but the untwisted key of (4, 1) -> (5, 2)
-    is the pair (3, 0) -> (4, 1): the endpoints are checked before the
-    cache is read, so the refusal stays once that slice is cached."""
+    is the pair (3, 0) -> (4, 1): the endpoints are checked before a
+    cache is read, so the refusal stays once that class is cached."""
     q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
     for _ in range(2):
         with pytest.raises(ValueError, match="endpoints must be quiver vertices"):
-            graded_ideal_dim(q, (4, 1), (5, 2))
-        graded_ideal_dim(q, (3, 0), (4, 1))
-    assert ((3, 0), (4, 1)) in q._ideal_cache
+            kernel_report(q, (4, 1), (5, 2))
+        kernel_report(q, (3, 0), (4, 1))
+    assert ((3, 0), (4, 1)) in q._premise_failures
 
 
 def test_p2_families_n5():
@@ -264,11 +221,11 @@ def test_relation_rows_are_the_relation_elements(n):
 
 
 def test_graded_ideal_dims_n4():
-    q = build_quiver(4)
-    assert graded_ideal_dim(q, (0, 0), (1, 1)) == 10
-    assert graded_ideal_dim(q, (0, 0), (2, 0)) == 6
+    q, reference = build_quiver(4), {}
+    for lam, mu, dim in (((0, 0), (1, 1), 10), ((0, 0), (2, 0), 6)):
+        assert _path_keyed_slice(q, lam, mu, reference)[0].rank == dim == kernel_report(q, lam, mu)["ideal_dim"]
     for lam, mu in containment_pairs(q, 1):
-        assert graded_ideal_dim(q, lam, mu) == 0
+        assert _path_keyed_slice(q, lam, mu, reference)[0].rank == 0 == kernel_report(q, lam, mu)["ideal_dim"]
 
 
 def test_quotient_dims():
@@ -362,126 +319,32 @@ def _path_keyed_slice(q, lam, mu, cache, column=_letter_column):
     return ech, paths
 
 
-def _slice_rows(record):
-    """The basis rows of a packed ideal slice, as sparse dicts, in its
-    (pivot) order."""
-    starts = [0, *record.ends[:-1]]
-    return [dict(zip(record.cols[s:e], record.vals[s:e])) for s, e in zip(starts, record.ends)]
-
-
-def _lead_terms(q, lam, mu):
-    """The pivots of a slice: each basis row's smallest column."""
-    return {min(row) for row in _slice_rows(quiver._ideal_slice(q, lam, mu))}
-
-
-def graded_ideal_basis(q, lam, mu):
-    """Echelon basis vectors (sparse, over letter columns) and the path list."""
-    return _slice_rows(quiver._ideal_slice(q, lam, mu)), enumerate_paths(q, lam, mu)
-
-
-def test_integer_columns_match_path_keyed_slices():
-    # The reference builds each twisted slice at its own pair, unshifted;
-    # n=6 up to degree 4 covers every pair of the kernel benchmark.
-    for n in (4, 5, 6):
-        q = TiltingQuiver(n)  # fresh instance, avoids the shared cache
-        reference = {}
-        for lam, mu in containment_pairs(q, 4):
-            expect, paths = _path_keyed_slice(q, lam, mu, reference)
-            record = quiver._ideal_slice(q, lam, mu)
-            assert _slice_rows(record) == expect.basis(), (n, lam, mu)
-            assert path_count(q, lam, mu) == len(paths)
+def _lead_terms(q, lam, mu, cache, column=_letter_column):
+    """The pivots of the reference slice: each basis row's smallest column."""
+    return set(_path_keyed_slice(q, lam, mu, cache, column)[0].pivot_rows)
 
 
 def test_twisted_pairs_share_one_slice():
-    """Each twist class (lam + (t, t), mu + (t, t)) is eliminated once, at
-    its pair with lam2 = 0: the 74 pairs of n=6 up to degree 4 need 37."""
+    """Each twist class (lam + (t, t), mu + (t, t)) is cached once, at its
+    pair with lam2 = 0: the 74 pairs of n=6 up to degree 4 are in 37
+    classes, and one set of degree-two rows serves a whole class."""
     q = TiltingQuiver(6)  # fresh instance, avoids the shared cache
     for lam, mu in containment_pairs(q, 4):
-        graded_ideal_dim(q, lam, mu)
-        assert all(key[0][1] == 0 for key in q._ideal_cache), (lam, mu)
-    assert len(q._ideal_cache) == 37
-    assert quiver._ideal_slice(q, (1, 1), (3, 2)) is quiver._ideal_slice(q, (0, 0), (2, 1))
-
-
-@pytest.mark.parametrize(
-    "values, bound, typecode",
-    [
-        ([], 1, "b"),
-        ([127, -127, 0], 128, "b"),
-        ([128], 129, "h"),
-        ([-128], 129, "h"),
-        ([2**15 - 1, -(2**15 - 1)], 2**15, "h"),
-        ([2**15], 2**15 + 1, "i"),
-        ([-(2**15)], 2**15 + 1, "i"),
-        ([2**31 - 1, -(2**31 - 1)], 2**31, "i"),
-        ([2**31], 2**31 + 1, "q"),
-        ([-(2**31)], 2**31 + 1, "q"),
-        ([2**63 - 1, -(2**63 - 1)], 2**63, "q"),
-    ],
-)
-def test_narrow_array_takes_the_narrowest_typecode(values, bound, typecode):
-    packed = quiver._narrow_array(iter(values), bound)
-    assert type(packed) is array and packed.typecode == typecode
-    assert list(packed) == values
-
-
-@pytest.mark.parametrize("values", [[2**63], [-(2**63)], [2**63 - 1, -(2**200), 5]])
-def test_narrow_array_keeps_ints_past_64_bits_in_a_tuple(values):
-    bound = max(map(abs, values)) + 1
-    packed = quiver._narrow_array(iter(values), bound)
-    assert type(packed) is tuple and packed == tuple(values)
-    assert all(type(x) is int for x in packed)
-
-
-def test_narrow_array_refuses_a_value_at_its_bound():
-    """A bound too small raises instead of wrapping the value."""
-    with pytest.raises(OverflowError):
-        quiver._narrow_array([128], 128)
-    with pytest.raises(OverflowError):
-        quiver._narrow_array([2**31], 2**31)
-
-
-def test_finished_slices_are_packed(monkeypatch):
-    """A cached slice keeps no SparseEchelon and no dict rows: its columns,
-    coefficients and row ends are each in the narrowest signed array
-    holding their bound ((2n)**L, the largest |coefficient| + 1 and the
-    entry count + 1), its rank is its row count, and its rows read back
-    exactly as the eliminator's basis rows."""
-    narrower = {"h": 2**7, "i": 2**15, "q": 2**31}  # the largest value of the next narrower typecode, + 1
-    for n in (4, 5):
-        finished = []
-
-        class Recording(SparseEchelon):
-            def basis(self):
-                rows = super().basis()
-                finished.append([dict(row) for row in rows])
-                return rows
-
-        monkeypatch.setattr(quiver, "SparseEchelon", Recording)
-        q = TiltingQuiver(n)
-        for lam, mu in containment_pairs(q, 4):
-            quiver._ideal_slice(q, lam, mu)
-        assert q._ideal_cache
-        assert [_slice_rows(record) for record in q._ideal_cache.values()] == finished
-        for key, record in q._ideal_cache.items():
-            lam, mu = key
-            assert type(record) is quiver.IdealSlice, key
-            assert all(type(f) is array for f in record[1:]), key
-            length = (mu[0] - lam[0]) + (mu[1] - lam[1])
-            assert record.cols.typecode == ("b" if length <= 2 else "h"), key  # (2n)**L <= 10**4
-            top = max(map(abs, record.vals), default=0)
-            for field, bound in ((record.vals, top + 1), (record.ends, len(record.vals) + 1)):
-                assert bound <= 2 ** (8 * field.itemsize - 1), key
-                assert field.typecode == "b" or bound > narrower[field.typecode], key
-            assert record.rank == len(record.ends) == graded_ideal_dim(q, *key)
-            assert len(record.cols) == len(record.vals) == (record.ends[-1] if record.ends else 0)
+        kernel_report(q, lam, mu)
+        for cache in (q._letter_rows, q._normal_counts, q._premise_failures):
+            assert all(key[0][1] == 0 for key in cache), (lam, mu)
+    classes = {quiver._untwist(lam, mu) for lam, mu in containment_pairs(q, 4)}
+    assert len(classes) == 37 and classes <= set(q._premise_failures) and classes == set(q._normal_counts)
+    assert set(q._letter_rows) == {pair for pair in classes if sum(pair[1]) - sum(pair[0]) == 2}
+    assert quiver._letter_rows(q, (1, 1), (2, 2)) is quiver._letter_rows(q, (0, 0), (1, 1))
 
 
 def test_lazy_ideal_matches_direct_enumeration_at_degree_three():
     for n in (4, 5):
-        q = build_quiver(n)
+        q, reference = build_quiver(n), {}
         for lam, mu in containment_pairs(q, 3, min_degree=3):
-            assert graded_ideal_dim(q, lam, mu) == _direct_ideal_dim(q, lam, mu)
+            expect = _direct_ideal_dim(q, lam, mu)
+            assert _path_keyed_slice(q, lam, mu, reference)[0].rank == expect == kernel_report(q, lam, mu)["ideal_dim"]
 
 
 def test_staircase_normal_paths_span_the_quotient():
@@ -492,12 +355,9 @@ def test_staircase_normal_paths_span_the_quotient():
                      (5, [((1, 0), (3, 1)), ((0, 0), (2, 2))])):
         q = build_quiver(n)
         for lam, mu in pairs:
-            basis, paths = graded_ideal_basis(q, lam, mu)
-            ech = SparseEchelon()
-            for row in basis:
-                assert ech.insert(dict(row))
+            ech, paths = _path_keyed_slice(q, lam, mu, {})
             added = 0
-            for p in paths:
+            for p in paths.values():
                 directions = [a.direction for a in p]
                 if directions == sorted(directions):  # horizontal steps first
                     if ech.insert({_letter_column(q, p): 1}):
@@ -597,9 +457,9 @@ def test_degree_two_leads_are_one_per_relation():
     q = build_quiver(7)
     total = 0
     for lam, mu, _ in p2_pairs(q):
-        record = quiver._ideal_slice(q, lam, mu)
-        assert len(_lead_terms(q, lam, mu)) == record.rank == len(relation_set_for(q, lam, mu))
-        total += record.rank
+        rank = _path_keyed_slice(q, lam, mu, {})[0].rank
+        assert rank == len(relation_set_for(q, lam, mu))
+        total += rank
     assert total == len(relation_sets(q)) == 1050
 
 
@@ -608,7 +468,7 @@ def test_degree_two_leads_are_the_paths_the_rule_calls_not_normal():
         q = build_quiver(n)
         for lam, mu, _ in p2_pairs(q):
             expect = {_letter_column(q, p) for p in enumerate_paths(q, lam, mu) if not _normal(*p)}
-            assert _lead_terms(q, lam, mu) == expect, (n, lam, mu)
+            assert _lead_terms(q, lam, mu, {}) == expect, (n, lam, mu)
 
 
 def _degree_three_failures(q, leads, column):
@@ -631,35 +491,43 @@ def _degree_three_failures(q, leads, column):
 def test_degree_three_leads_are_generated_in_degree_two():
     """The PBW criterion in degree 3 for the letter order."""
     for n in (4, 5, 6):
-        q = build_quiver(n)
-        assert _degree_three_failures(q, lambda lam, mu: _lead_terms(q, lam, mu), _letter_column) == {}
+        q, cache = build_quiver(n), {}
+        assert _degree_three_failures(q, lambda lam, mu: _lead_terms(q, lam, mu, cache), _letter_column) == {}
 
 
 def test_route_first_order_fails_the_degree_three_check():
     """Mutation check: with the route-first columns the degree-3 check
     must fail, so the check can see a wrong order."""
-    q = build_quiver(4)
-    cache = {}
-
-    def leads(lam, mu):
-        return set(_path_keyed_slice(q, lam, mu, cache, _route_first_column)[0].pivot_rows)
-
-    failures = _degree_three_failures(q, leads, _route_first_column)
+    q, cache = build_quiver(4), {}
+    failures = _degree_three_failures(q, lambda lam, mu: _lead_terms(q, lam, mu, cache, _route_first_column), _route_first_column)
     assert failures == {((0, 0), (2, 1)): (4, 0), ((1, 0), (2, 2)): (4, 0)}
 
 
-def test_certified_ideal_dims_match_elimination():
-    """kernel_report's ideal_dim against the eliminated slice at the pair
-    (the oracle) on every pair; every pair is certified, and the reports
-    build no slice above degree three."""
+def test_certified_ideal_dims_match_elimination(monkeypatch):
+    """kernel_report's ideal_dim against the reference slice at the pair
+    on every pair; every pair is certified, and the reports eliminate
+    only in the premises, whose pairs have degree two or three."""
+    degrees, echelons, original = [], [], quiver._pbw_premise
+
+    class Counted(SparseEchelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    def premise(q, lam, mu):
+        degrees.append(sum(mu) - sum(lam))
+        return original(q, lam, mu)
+
+    monkeypatch.setattr(quiver, "SparseEchelon", Counted)
+    monkeypatch.setattr(quiver, "_pbw_premise", premise)
     for n, max_degree in ((4, 6), (5, 6), (6, 4)):
-        q = TiltingQuiver(n)  # fresh instance, avoids the shared cache
+        q, reference = TiltingQuiver(n), {}  # fresh instance, avoids the shared cache
         pairs = containment_pairs(q, max_degree)
         reports = [kernel_report(q, lam, mu) for lam, mu in pairs]
-        assert all(quiver._pbw_certified(q, lam, mu) for lam, mu in pairs)
-        assert max(sum(mu) - sum(lam) for lam, mu in q._ideal_cache) == 3
+        assert all(quiver._premise_failure(q, lam, mu) is None for lam, mu in pairs)
         for (lam, mu), r in zip(pairs, reports):
-            assert r["ideal_dim"] == graded_ideal_dim(q, lam, mu), (n, lam, mu)
+            assert r["ideal_dim"] == _path_keyed_slice(q, lam, mu, reference)[0].rank, (n, lam, mu)
+    assert set(degrees) == {2, 3} and len(echelons) == len(degrees)
 
 
 def test_normal_count_is_hom_dim():
@@ -701,11 +569,12 @@ def test_normal_count_is_the_leaves_of_the_normal_routes():
                     assert sum(map(_leaves, trees)) == count(q, lam, mu), (n, lam, mu, normal)
 
 
-def test_a_broken_relation_falls_back_to_elimination(monkeypatch):
+def test_a_broken_relation_is_inconclusive(monkeypatch, capsys):
     """Mutation check: with the square coefficients (d, -(d + 2), 2) the
-    premise fails at six degree-3 pairs of n=5, and every report up to
-    degree 5 still carries the eliminated ideal dimension, some of them
-    not ok."""
+    premise fails at six degree-3 pairs of n=5.  Up to degree 5, 13
+    reports are inconclusive, each naming a pair inside it whose premise
+    fails, in the coordinates of the pair asked for; the others are
+    certified with the reference ideal dimension; verify-kernel exits 1."""
     original = quiver.family_coefficients
 
     def broken(family, lam):
@@ -718,10 +587,25 @@ def test_a_broken_relation_falls_back_to_elimination(monkeypatch):
     q = TiltingQuiver(5)  # fresh instances: the slices of the broken table
     assert all(quiver._pbw_premise(q, *pair) for pair in containment_pairs(q, 2, min_degree=2))
     assert len([pair for pair in containment_pairs(q, 3, min_degree=3) if not quiver._pbw_premise(q, *pair)]) == 6
-    q, oracle = TiltingQuiver(5), TiltingQuiver(5)
-    reports = [kernel_report(q, lam, mu) for lam, mu in containment_pairs(q, 5)]
-    assert all(r["ideal_dim"] == graded_ideal_dim(oracle, r["lam"], r["mu"]) for r in reports)
-    assert not all(r["ok"] for r in reports)
+    q, reference = TiltingQuiver(5), {}
+    pairs = containment_pairs(q, 5)
+    reports = dict(zip(pairs, (kernel_report(q, lam, mu) for lam, mu in pairs)))
+    named = {pair: r["premise_failed"] for pair, r in reports.items() if "status" in r}
+    assert len(named) == 13
+    for (lam, mu), r in reports.items():
+        if (lam, mu) in named:
+            low, high = tuple(named[lam, mu]["lam"]), tuple(named[lam, mu]["mu"])
+            assert r["status"] == "inconclusive" and not r["ok"] and "ideal_dim" not in r
+            assert lam[0] <= low[0] and lam[1] <= low[1] and high[0] <= mu[0] and high[1] <= mu[1]
+            assert not quiver._pbw_premise(q, low, high), (lam, mu)
+        else:
+            assert r["ideal_dim"] == _path_keyed_slice(q, lam, mu, reference)[0].rank, (lam, mu)
+    # (1, 1) -> (3, 3) is the class of (0, 0) -> (2, 2), which fails at (0, 0) -> (2, 1)
+    assert named[(1, 1), (3, 3)] == {"lam": [1, 1], "mu": [3, 2]}
+    monkeypatch.setattr(quiver, "build_quiver", TiltingQuiver)  # not the cached quiver of the real table
+    assert run(["verify-kernel", "--n", "5", "--max-degree", "5", "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r for r in results["pairs"] if "status" in r] == [r for r in reports.values() if "status" in r]
 
 
 def test_the_degree_two_premise_sees_a_changed_leading_term(monkeypatch):
