@@ -11,7 +11,6 @@ from .tableaux import (
     gamma_set,
     gl_dimension,
     hom_dim,
-    kostka,
     lr_number,
 )
 from .fibers import (

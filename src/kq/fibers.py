@@ -16,15 +16,16 @@ vectors: one block per constituent gamma, evaluated over the normal
 paths of content gamma (columns weakly decreasing from the tail,
 strictly at each horizontal -> vertical turn), or over every path of
 that content when the normal ones fall short.  A block reads columns 1
-and 2 of a point only, so one evaluation in plain integer arithmetic,
-at the identity in columns 1-2 and zeros elsewhere, gives its exact
-rank.  Since E_{lam+(1,1)} = E_lam (x) det Q, the twisted pairs
-(lam + (t, t), mu + (t, t)) have one map space and one report body,
-which is computed once per twist class and cached.
+and 2 only, at the identity there, where every step matrix is a
+weighted shift (at most one nonzero entry per column): its exact rank
+needs no point and no matrix product.  Since E_{lam+(1,1)} = E_lam (x)
+det Q, the twisted pairs (lam + (t, t), mu + (t, t)) have one map space
+and one report body, which is computed once per twist class and cached.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -180,32 +181,9 @@ def seeded_point(n: int, tag: str, draw) -> GrPoint:
 @lru_cache(maxsize=None)
 def sample_point(n: int, seed) -> GrPoint:
     """Deterministic canonical point with integer coordinates in [-9, 9],
-    at which the step tables of `_point_steps` evaluate in integers.
-    Cached, so every caller with one seed gets the same point."""
+    so every step matrix at it is an integer matrix.  Cached, so every
+    caller with one seed gets the same point."""
     return seeded_point(n, f"sample:{n}:{seed}", lambda rng: rng.randint(-9, 9))
-
-
-@lru_cache(maxsize=None)
-def _point_steps(y: GrPoint, k: int, horizontal: bool) -> tuple:
-    """The banded step matrices on a fiber of dimension k at an integer
-    point (ValueError otherwise), one per column rho = 1..n at index
-    rho - 1.  A band row holds at most two entries, so each row is stored
-    as (c, v, e, w): value v in column c plus value w in column e, padded
-    with zeros."""
-    d = y.matrix._d
-    tables = []
-    for rho in range(1, y.n + 1):
-        a1, a2 = y.column_ints(rho)
-        if a1 % d or a2 % d:
-            raise ValueError(f"sample point column {rho} is not integral")
-        m = _banded(k, horizontal, a1 // d, a2 // d, 1)
-        e, c = m._n, m.cols
-        rows = []
-        for i in range(m.rows):
-            band = [(j, v) for j, v in enumerate(e[i * c : (i + 1) * c]) if v] + [(0, 0), (0, 0)]
-            rows.append(band[0] + band[1])
-        tables.append(tuple(rows))
-    return tuple(tables)
 
 
 def _routes(lam: Partition, mu: Partition, alpha: Sequence[int], normal: bool = True) -> tuple:
@@ -247,30 +225,38 @@ def _routes(lam: Partition, mu: Partition, alpha: Sequence[int], normal: bool = 
     return branches(tuple(alpha), *lam.padded(2), -1)
 
 
-def _path_rows(y: GrPoint, routes: tuple, d_lam: int, d_mu: int) -> list[list[int]]:
-    """The compositions at one point of the paths of a `_routes` tree,
-    as integer rows: one row per matrix entry (i, j), one column per
-    path.  The products share their common prefixes."""
-    thetas: list[list[list[int]]] = []
-    steps: dict = {}  # _point_steps by (fiber dim, direction), without hashing the point per arrow
+@lru_cache(maxsize=None)
+def _shift(k: int, horizontal: bool, rho: int) -> dict[int, tuple[int, int]]:
+    """The step on a fiber of dimension k for column rho + 1 of the
+    identity (rho in {0, 1}), read off `_banded` as a weighted shift:
+    basis vector u goes to (row, value), or to 0 when u is not a key."""
+    m = _banded(k, horizontal, 1 - rho, rho, 1)
+    shift = {index % m.cols: (index // m.cols, v) for index, v in enumerate(m._n) if v}
+    assert len(shift) == sum(map(bool, m._n)), "two nonzero entries in one column"
+    return shift
 
-    def descend(node: tuple, partial: list[list[int]]):
+
+def _block_rows(routes: tuple, d_lam: int) -> dict[tuple[int, int], dict[int, int]]:
+    """The compositions along the paths of a `_routes` tree at the
+    identity in columns 1-2: the sparse row {path index: value} of each
+    entry (i, j) that some path reaches.  A composition is a weighted
+    shift, carried as the image (j, i, value) of each basis vector j."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    paths = itertools.count()
+
+    def descend(node: tuple, images: list):
         for k, horizontal, rho, child in node:
-            if (k, horizontal) not in steps:
-                steps[k, horizontal] = _point_steps(y, k, horizontal)
-            product = [[v * s + w * t for s, t in zip(partial[c], partial[e])] for c, v, e, w in steps[k, horizontal][rho]]
+            step = _shift(k, horizontal, rho)
+            moved = [(j, step[u][0], v * step[u][1]) for j, u, v in images if u in step]
             if child is None:
-                thetas.append(product)
+                leaf = next(paths)
+                for j, i, v in moved:
+                    rows.setdefault((i, j), {})[leaf] = v
             else:
-                descend(child, product)
+                descend(child, moved)
 
-    descend(routes, [[int(i == j) for j in range(d_lam)] for i in range(d_lam)])
-    return [[t[i][j] for t in thetas] for i in range(d_mu) for j in range(d_lam)]
-
-
-# The identity in columns 1-2 and zeros elsewhere.  A highest-weight block
-# reads columns 1 and 2 only, so four columns serve every n.
-_HIGHEST_WEIGHT_POINT = GrPoint(RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0]]))
+    descend(routes, [(j, j, 1) for j in range(d_lam)])
+    return rows
 
 
 def surjectivity_rank(n: int, lam, mu, samples=None, seed=None) -> dict:
@@ -293,10 +279,12 @@ def surjectivity_rank(n: int, lam, mu, samples=None, seed=None) -> dict:
        keeps its dimension when its functions are read on the chart.
     3. Every gamma has at most two rows, so the paths of content gamma
        read columns 1 and 2 only, which are the identity at every point
-       of the chart: their functions are constant there, and
-       r_j, the exact rank of one evaluation at the identity in columns
-       1-2 and zeros elsewhere, is the dimension of the gamma_j weight
-       space of Im.  No point is drawn and no prime is used.
+       of the chart: their functions are constant there, and r_j, the
+       exact rank at the identity in columns 1-2, is the dimension of the
+       gamma_j weight space of Im.  There every step is a weighted shift
+       (`_shift`): f with e1 keeps index u, f with e2 moves u to u + 1, g
+       with e1 moves u to u - 1 with weight u, g with e2 keeps u with
+       weight -(k - 1 - u); so is every composition (`_block_rows`).
     4. gamma_set lists gamma_0, gamma_1, ... from least to most dominant,
        and K_{gamma', gamma} is 1 for gamma' dominating gamma and 0
        otherwise, so the weight gamma_j has multiplicity
@@ -319,8 +307,8 @@ def surjectivity_rank(n: int, lam, mu, samples=None, seed=None) -> dict:
     gets the same status and short weights at every n where it exists.
     A changed map that no longer gives maps of bundles breaks steps 1
     and 2: tests/test_fibers.py checks that the status still matches
-    the exact evaluation rank under one such change, but `rank` need
-    not be a dimension then, and can exceed hom_dim.
+    the exact evaluation rank under one such change.  Some c_j may then
+    fall outside {0, 1}, and such a `fail` report gives `rank` null.
 
     `samples` and `seed` are accepted and ignored; they belong to the
     sampled check this one replaced.
@@ -355,22 +343,22 @@ def _twist_class_report(n: int, lam: Partition, mu: Partition) -> dict:
     lam and mu; `short_weights` entries are tuples (gamma, rank, mult).
     Cached, and called with the untwisted pair of each twist class."""
     gammas = gamma_set(lam, mu)  # NotContainedError unless lam < mu
-    d_lam, d_mu = fiber_dim(lam), fiber_dim(mu)
     ranks, short = [], []
     for j, gamma in enumerate(gammas):
         mult = len(gammas) - j
         for normal in (True, False):  # every path of the content only if the normal ones fall short
             echelon = SparseEchelon()
-            for row in _path_rows(_HIGHEST_WEIGHT_POINT, _routes(lam, mu, gamma.padded(2), normal), d_lam, d_mu):
-                echelon.insert(dict(enumerate(row)))
+            for row in _block_rows(_routes(lam, mu, gamma.padded(2), normal), fiber_dim(lam)).values():
+                echelon.insert(row)
             if echelon.rank == mult:
                 break
         ranks.append(echelon.rank)
         if echelon.rank != mult:
             short.append((gamma.padded(2), echelon.rank, mult))
+    copies = [r - above for r, above in zip(ranks, ranks[1:] + [0])]
     body = {
         "words": n ** (mu.size - lam.size),
-        "rank": sum((r - above) * gl_dimension(g, n) for g, r, above in zip(gammas, ranks, ranks[1:] + [0])),
+        "rank": sum(c * gl_dimension(g, n) for g, c in zip(gammas, copies)) if set(copies) <= {0, 1} else None,
         "hom_dim": hom_dim(gammas, n),
         "status": "fail" if short else "ok",
         "ok": not short,

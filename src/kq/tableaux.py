@@ -4,10 +4,10 @@ Partitions, skew shapes and the enumeration of their semistandard
 fillings (each a tuple of rows; `ssyt-count` counts them),
 Littlewood-Richardson numbers by direct enumeration of lattice fillings,
 dimensions of irreducible GL(n) representations by the hook-content
-formula, the closed-form list of irreducible constituents of a two-row
-skew shape, and two-row Kostka numbers.  The skew decomposition by
-enumeration, the Pieri rules and the semistandard check of the fillings,
-the oracles for these, live in tests/test_tableaux.py.
+formula and the closed-form list of irreducible constituents of a
+two-row skew shape.  The skew decomposition by enumeration, the Pieri
+rules, the semistandard check of the fillings and two-row Kostka
+numbers, the oracles for these, live in tests/test_tableaux.py.
 """
 
 from __future__ import annotations
@@ -276,32 +276,3 @@ def hom_dim(gammas: Sequence[Partition], n: int) -> int:
     representation, from its constituents gammas = gamma_set(lam, mu):
     the sum of their hook-content dimensions."""
     return sum(gl_dimension(g, n) for g in gammas)
-
-
-def kostka(gam, alpha: Sequence[int]) -> int:
-    """The Kostka number K_{gam, alpha} for a two-row gam: semistandard
-    tableaux of shape gam with alpha[i] entries equal to i + 1.
-
-    Letters are placed in increasing order, each as a horizontal strip:
-    x copies end the second row and the rest end the first, and the new
-    second row may not pass the old first row.
-    """
-    gam = Partition.coerce(gam)
-    if gam.num_rows > 2:
-        raise ValueError("two-row partitions only")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative entry in the content {tuple(alpha)}")
-    g1, g2 = gam.padded(2)
-    ways = {0: 1}  # first-row length -> tableaux; the second row holds the rest
-    placed = 0
-    for a in alpha:
-        grown: dict[int, int] = {}
-        for r1, count in ways.items():
-            r2 = placed - r1
-            for x in range(min(a, r1 - r2) + 1):
-                if r1 + a - x <= g1 and r2 + x <= g2:
-                    grown[r1 + a - x] = grown.get(r1 + a - x, 0) + count
-        ways = grown
-        placed += a
-    return ways.get(g1, 0) if placed == g1 + g2 else 0
-

@@ -26,18 +26,19 @@ from kq.fibers import (
 from kq.linalg import RatMatrix, SparseEchelon
 from kq.moduli import random_point
 from kq.quiver import build_quiver, containment_pairs
-from kq.tableaux import NotContainedError, Partition, gamma_set, hom_dim, kostka
+from kq.tableaux import NotContainedError, Partition, gamma_set, gl_dimension, hom_dim
+from test_tableaux import kostka
 
 
 @pytest.fixture
 def fresh_class_cache():
-    """Twist-class reports and step tables made under a patch are neither
-    read from nor left in the caches."""
+    """Twist-class reports and weighted shifts made under a patch are
+    neither read from nor left in the caches."""
     fibers._twist_class_report.cache_clear()
-    fibers._point_steps.cache_clear()
+    fibers._shift.cache_clear()
     yield
     fibers._twist_class_report.cache_clear()
-    fibers._point_steps.cache_clear()
+    fibers._shift.cache_clear()
 
 
 def zero_g_band(monkeypatch):
@@ -76,6 +77,25 @@ def dominant_weights(gammas, n):
     return out
 
 
+def path_rows(y, routes, d_lam, d_mu):
+    """The compositions at the point y along the paths of a `_routes`
+    tree, each a product of `step_matrix` matrices that shares its
+    prefix with the paths beside it, as integer rows (y is an integer
+    point): one row per matrix entry (i, j), one column per path."""
+    thetas = []
+
+    def descend(node, partial):
+        for k, horizontal, rho, child in node:
+            product = step_matrix(y, k, horizontal, rho + 1) * partial
+            if child is None:
+                thetas.append(product)
+            else:
+                descend(child, product)
+
+    descend(routes, RatMatrix.identity(d_lam))
+    return [[int(t[i, j]) for t in thetas] for i in range(d_mu) for j in range(d_lam)]
+
+
 def sampled_report(n, lam, mu, patience, seed):
     """The sampled check that `surjectivity_rank` replaced, as an oracle:
     every dominant weight alpha, counted with its orbit, evaluated over
@@ -93,7 +113,7 @@ def sampled_report(n, lam, mu, patience, seed):
         drawn = stale = 0
         while echelon.rank < mult and stale < patience:
             before = echelon.rank
-            for row in fibers._path_rows(sample_point(n, f"{seed}:{drawn}"), routes, d_lam, d_mu):
+            for row in path_rows(sample_point(n, f"{seed}:{drawn}"), routes, d_lam, d_mu):
                 if echelon.insert(dict(enumerate(row))) and echelon.rank == mult:
                     break
             drawn += 1
@@ -265,26 +285,6 @@ def test_section_matrix_does_not_build_through_banded(monkeypatch):
     assert g != g_matrix(2, column(y, 3)) and g != step_matrix(y, 2, False, 3)
 
 
-def test_step_tables_reject_a_non_integer_point():
-    y = GrPoint(RatMatrix([[1, 0, "1/2", 2], [0, 1, 3, 4]]))
-    with pytest.raises(ValueError, match="column 3"):
-        fibers._point_steps(y, 2, True)
-    assert len(fibers._point_steps(GrPoint(RatMatrix([[1, 0, 1, 2], [0, 1, 3, 4]])), 2, True)) == 4
-
-
-def test_step_tables_hold_the_banded_matrices():
-    for y in (sample_point(6, "tables"), GrPoint(RatMatrix([[1, 0, 0, 2, 0], [0, 1, 0, 0, -3]]))):
-        for k, horizontal in itertools.product(range(1, 5), (True, False)):
-            if k == 1 and not horizontal:
-                continue
-            for rho, rows in enumerate(fibers._point_steps(y, k, horizontal), start=1):
-                dense = [[0] * k for _ in rows]
-                for row, (c, v, e, w) in zip(dense, rows):
-                    row[c] += v
-                    row[e] += w
-                assert RatMatrix(dense) == step_matrix(y, k, horizontal, rho), (y, k, horizontal, rho)
-
-
 def test_normal_paths_give_each_block_exactly_mult_columns():
     """The normal paths of content alpha are a basis of the alpha weight
     space of the quotient, so a block needs no other columns."""
@@ -293,8 +293,45 @@ def test_normal_paths_give_each_block_exactly_mult_columns():
             d_lam, d_mu = fibers.fiber_dim(lam), fibers.fiber_dim(mu)
             for alpha, _, mult in dominant_weights(gamma_set(lam, mu), n):
                 routes = fibers._routes(Partition(lam), Partition(mu), alpha)
-                rows = fibers._path_rows(sample_point(n, "count"), routes, d_lam, d_mu)
+                rows = path_rows(sample_point(n, "count"), routes, d_lam, d_mu)
                 assert len(rows) == d_lam * d_mu and all(len(row) == mult for row in rows), (n, lam, mu, alpha)
+
+
+def test_steps_at_the_identity_have_one_entry_per_column():
+    """The weighted-shift premise of `_shift`: at column (1, 0) or (0, 1)
+    every banded matrix has at most one nonzero entry per column."""
+    for k, horizontal, (a1, a2) in itertools.product(range(1, 13), (True, False), ((1, 0), (0, 1))):
+        if horizontal or k >= 2:
+            m = fibers._banded(k, horizontal, a1, a2, 1)
+            assert all(sum(1 for i in range(m.rows) if m[i, u]) <= 1 for u in range(k)), (k, horizontal, a1, a2)
+
+
+# The identity in columns 1-2: every path of a block reads columns 1 and 2 only.
+IDENTITY = GrPoint(RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0]]))
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["maps", "g_band_zeroed"])
+@pytest.mark.usefixtures("fresh_class_cache")
+def test_block_rows_are_the_dense_products_at_the_identity(monkeypatch, mutated):
+    """`_block_rows` holds, entry by entry, the products of `step_matrix`
+    matrices at the identity in columns 1-2, for every block of every
+    twist class of the whole quiver at n = 8 (so at n = 4..8): over the
+    normal paths, and over every path up to n = 7, where the dense
+    products stay under a second."""
+    if mutated:
+        zero_g_band(monkeypatch)
+    pairs = [(lam, mu) for lam, mu in containment_pairs(build_quiver(8), 12) if lam[1] == 0]
+    blocks = 0
+    for lam, mu in pairs:
+        d_lam, d_mu = fibers.fiber_dim(lam), fibers.fiber_dim(mu)
+        for gamma, normal in itertools.product(gamma_set(lam, mu), (True, False)):
+            if normal or mu[0] <= 5:
+                routes = fibers._routes(Partition(lam), Partition(mu), gamma.padded(2), normal)
+                dense = dict(zip(itertools.product(range(d_mu), range(d_lam)), path_rows(IDENTITY, routes, d_lam, d_mu)))
+                expected = {entry: {p: v for p, v in enumerate(row) if v} for entry, row in dense.items() if any(row)}
+                assert fibers._block_rows(routes, d_lam) == expected, (lam, mu, gamma, normal)
+                blocks += 1
+    assert blocks == 203 + 120
 
 
 def test_reports_do_not_depend_on_pair_order():
@@ -306,7 +343,7 @@ def test_reports_do_not_depend_on_pair_order():
     forward = reports(pairs)
     assert reports(pairs[::-1]) == forward
     fibers._twist_class_report.cache_clear()
-    fibers._point_steps.cache_clear()
+    fibers._shift.cache_clear()
     assert reports(pairs[::-1]) == forward
 
 
@@ -441,10 +478,35 @@ def test_surjectivity_falls_back_to_exact_rank(monkeypatch):
 @pytest.mark.usefixtures("g_band_zeroed")
 def test_short_block_is_named_in_the_report(capsys):
     r = surjectivity_rank(4, (1, 0), (2, 1))
-    assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("fail", False, 12, 16)
+    # r = [2, 0] against mult [2, 1]: c_0 = 2 copies of S^(1,1), so no rank
+    assert (r["status"], r["ok"], r["rank"], r["hom_dim"]) == ("fail", False, None, 16)
     assert r["short_weights"] == [[[2, 0], 0, 1]]
     code = run(["verify-surjectivity", "--n", "4", "--lam", "1,0", "--mu", "2,1", "--json"])
-    assert code == 1 and '"short_weights":[[[2,0],0,1]]' in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert code == 1 and '"rank":null' in out and '"short_weights":[[[2,0],0,1]]' in out
+
+
+@pytest.mark.usefixtures("g_band_zeroed")
+def test_fail_rank_is_null_exactly_where_a_copy_count_leaves_0_1():
+    """Under a changed map, c_j = r_j - r_{j+1} can fall outside {0, 1},
+    where the rank formula counts no dimension: such a report gives rank
+    None, and every other one the formula, at most hom_dim."""
+    nulls = 0
+    for n in (4, 5, 6):
+        for lam, mu in containment_pairs(build_quiver(n), 2 * (n - 2)):
+            r = surjectivity_rank(n, lam, mu)
+            gammas = gamma_set(lam, mu)
+            short = {tuple(gamma): rank for gamma, rank, _ in r.get("short_weights", [])}
+            ranks = [short.get(gamma.padded(2), len(gammas) - j) for j, gamma in enumerate(gammas)]
+            copies = [rank - above for rank, above in zip(ranks, ranks[1:] + [0])]
+            if set(copies) <= {0, 1}:
+                assert r["rank"] == sum(c * gl_dimension(g, n) for g, c in zip(gammas, copies)) <= r["hom_dim"], (n, lam, mu, r)
+            else:
+                assert r["rank"] is None and r["status"] == "fail", (n, lam, mu, r)
+                nulls += 1
+    assert nulls == 21
+    r = surjectivity_rank(5, (1, 0), (3, 1))  # the formula would give 80
+    assert (r["status"], r["rank"], r["hom_dim"]) == ("fail", None, 75)
 
 
 @pytest.mark.usefixtures("fresh_class_cache")
@@ -503,7 +565,7 @@ def test_a_changed_report_leaves_the_next_one_alone():
 def test_ok_report_keeps_its_keys():
     r = surjectivity_rank(5, (1, 0), (3, 2))
     assert list(r) == ["lam", "mu", "words", "rank", "hom_dim", "status", "ok"]
-    assert r["ok"] and r["words"] == 5**4
+    assert r["ok"] and r["words"] == 5**4 and type(r["rank"]) is int
 
 
 @pytest.mark.usefixtures("fresh_class_cache")
@@ -516,7 +578,7 @@ def test_block_rank_depends_only_on_the_pair_and_the_weight(monkeypatch):
         if mutated:
             zero_g_band(monkeypatch)
             fibers._twist_class_report.cache_clear()
-            fibers._point_steps.cache_clear()
+            fibers._shift.cache_clear()
         verdicts = {}
         for n in (8, 12):
             reports = [surjectivity_rank(n, lam, mu) for lam, mu in pairs]

@@ -14,7 +14,6 @@ from kq.tableaux import (
     gamma_set,
     gl_dimension,
     hom_dim,
-    kostka,
     lr_number,
 )
 
@@ -26,6 +25,36 @@ def skew_decomposition(shape):
     gammas = _partitions_up_to(shape.size, shape.num_rows, shape.size)
     counts = [(Partition(g), lr_number(shape.inner, g, shape.outer)) for g in gammas]
     return sorted(((g, m) for g, m in counts if m), key=lambda pair: pair[0].parts)
+
+
+def kostka(gam, alpha):
+    """The Kostka number K_{gam, alpha} for a two-row gam: semistandard
+    tableaux of shape gam with alpha[i] entries equal to i + 1.  The
+    oracle for the weight multiplicities of the map spaces, here and in
+    `dominant_weights` of tests/test_fibers.py.
+
+    Letters are placed in increasing order, each as a horizontal strip:
+    x copies end the second row and the rest end the first, and the new
+    second row may not pass the old first row.
+    """
+    gam = Partition.coerce(gam)
+    if gam.num_rows > 2:
+        raise ValueError("two-row partitions only")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"negative entry in the content {tuple(alpha)}")
+    g1, g2 = gam.padded(2)
+    ways = {0: 1}  # first-row length -> tableaux; the second row holds the rest
+    placed = 0
+    for a in alpha:
+        grown: dict[int, int] = {}
+        for r1, count in ways.items():
+            r2 = placed - r1
+            for x in range(min(a, r1 - r2) + 1):
+                if r1 + a - x <= g1 and r2 + x <= g2:
+                    grown[r1 + a - x] = grown.get(r1 + a - x, 0) + count
+        ways = grown
+        placed += a
+    return ways.get(g1, 0) if placed == g1 + g2 else 0
 
 
 def pieri_row(lam, m, max_rows):
