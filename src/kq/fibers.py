@@ -30,7 +30,7 @@ import random
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .linalg import RatMatrix, SparseEchelon, _json_int
+from .linalg import RatMatrix, SparseEchelon, _int_product, _json_int
 from .tableaux import Partition, gamma_set, gl_dimension, hom_dim
 
 
@@ -111,15 +111,20 @@ def reduce_point(m: RatMatrix) -> GrPoint:
 
     The unique row-equivalent matrix carrying the identity at the
     leftmost independent column pair is returned; the map is idempotent
-    and invariant under invertible row operations.
+    and invariant under invertible row operations.  With B the integer
+    pivot block of m, it is adj(B) times the integer form over det(B).
     """
     if m.rows != 2:
         raise ValueError("a point is a 2 x n matrix")
     piv = m.pivot_columns()
     if len(piv) < 2:
         raise RankDeficientError("matrix has rank below 2")
-    block = m.take_columns(piv)
-    return GrPoint(block.invert() * m)
+    e, n = m._n, m.cols
+    (a, c), (b, d) = ((e[j], e[n + j]) for j in piv)
+    det = a * d - b * c
+    sign = 1 if det > 0 else -1
+    adj = [sign * d, -sign * b, -sign * c, sign * a]
+    return GrPoint(RatMatrix._raw(2, n, _int_product(adj, e, 2, 2, n), abs(det)))
 
 
 def _banded(k: int, horizontal: bool, a1: int, a2: int, d: int) -> RatMatrix:

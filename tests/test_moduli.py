@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kq import moduli, quiver
-from kq.fibers import GrPoint, reduce_point
+from kq import fibers, moduli, quiver
+from kq.fibers import GrPoint, f_matrix, g_matrix, reduce_point
 from kq.linalg import RatMatrix
 from kq.moduli import (
     GaugeElement,
@@ -410,21 +410,19 @@ def test_one_check_evaluates_each_relation_once_from_one_relation_sets_call(monk
     assert calls == {"relation_sets": 1, "evaluate_relation": relations}
 
 
-def test_reconstruct_solves_forward_with_one_inverse_per_vertex(monkeypatch):
-    """One n=5 reconstruct inverts at most one matrix per vertex and forms
-    one product per arrow not out of the source (its matrix times the
-    block at its tail) plus two per non-source vertex (the solve and the
-    check), and one more in reduce_point: 74 products for 60 arrows."""
+def test_accepted_reconstruct_inverts_nothing_and_runs_no_check(monkeypatch):
+    """An accepted n=5 reconstruct rests on the sweep and the cached premise
+    alone: no matrix is inverted (the point's 2 x 2 block is solved by its
+    adjugate) and no relation or stability check runs."""
     calls = Counter()
     y, h = random_point(5, "counts"), random_gauge(5, "counts")
     rep = scramble(embed(y), h)
-    q = rep.quiver
+    moduli._relations_vanish(5)
     monkeypatch.setattr(RatMatrix, "invert", counted(calls, "invert", RatMatrix.invert))
-    monkeypatch.setattr(RatMatrix, "__mul__", counted(calls, "mul", RatMatrix.__mul__))
+    for name in ("check_relations", "evaluate_relation", "check_stability"):
+        monkeypatch.setattr(moduli, name, counted(calls, name, getattr(moduli, name)))
     point, gauge = reconstruct(rep)
-    vertices, arrows = len(q.vertices), len(q.arrows)
-    assert calls["invert"] <= vertices
-    assert calls["mul"] == arrows - len(q.arrows_from((0, 0))) + 2 * (vertices - 1) + 1 == 74
+    assert calls == {}
     scalar = h.blocks[(0, 0)][0, 0]
     assert point == y
     assert gauge.blocks == {v: b.scale(1 / scalar) for v, b in h.blocks.items()}
@@ -444,19 +442,20 @@ def test_reconstructed_blocks_pass_the_validating_gauge(n):
         assert scramble(embed(point), gauge) == rep
 
 
-def test_stability_first_keeps_a_singular_block_out(monkeypatch):
-    """Zero arrows into the top vertex keep every relation but solve its
-    block as 0 with every sweep check passing, so only the stability
-    check, run first, refuses the input."""
+def test_a_singular_solved_block_stops_the_sweep(monkeypatch):
+    """Zero arrows into the top vertex keep every relation and solve its
+    block as 0 with every arrow matching, so only the rank of the solved
+    block stops the sweep there; the refusal names the top vertex as
+    unstable, and the vertices before it are not checked again."""
     rep = embed(random_point(4, "top"))
-    top = rep.quiver.vertices[-1]
-    zeroed = {a: RatMatrix.zeros(*rep.matrices[a].shape) for a in rep.quiver.arrows_into(top)}
+    q = rep.quiver
+    top = q.vertices[-1]
+    zeroed = {a: RatMatrix.zeros(*rep.matrices[a].shape) for a in q.arrows_into(top)}
     bad = QuiverRep(4, {**rep.matrices, **zeroed})
-    with pytest.raises(NotStableError, match=re.escape(str(top))):
+    assert moduli._sweep(bad) == (None, None, len(q.vertices) - 1)
+    monkeypatch.setattr(moduli, "check_stability", None)
+    with pytest.raises(NotStableError, match=re.escape(f"rank-deficient at [{top}]")):
         reconstruct(bad)
-    monkeypatch.setattr(moduli, "check_stability", lambda rep: moduli.StabilityReport((), True))
-    _, gauge = reconstruct(bad)
-    assert gauge.blocks[top].is_zero()
 
 
 def test_relation_violation_names_the_relation_at_fault():
@@ -572,20 +571,190 @@ def test_reconstruct_rejects_unstable_input():
         reconstruct(QuiverRep(4, mats))
 
 
-def test_sweep_alone_refuses_a_perturbed_embedding(monkeypatch):
-    """With both checks reporting clean, the sweep must still refuse +1 on
-    one entry of any arrow, including the arrows into (1, 0)."""
-    monkeypatch.setattr(moduli, "check_relations", lambda rep: [])
-    monkeypatch.setattr(moduli, "check_stability", lambda rep: moduli.StabilityReport((), True))
+def test_sweep_stops_for_a_perturbed_arrow():
+    """+1 on one entry of any arrow stops the sweep: at the arrow's head,
+    which no earlier vertex reads, or past (1, 0) for an arrow into (1, 0),
+    which only moves the point read there."""
     rep = scramble(embed(random_point(4, "sweep")), random_gauge(4, "sweep"))
-    for a in rep.quiver.arrows:
+    q = rep.quiver
+    assert moduli._sweep(rep)[2] == len(q.vertices)
+    for a in q.arrows:
         m = rep.matrices[a]
         rows = [list(m.row(i)) for i in range(m.rows)]
         rows[0][0] += 1
-        mats = dict(rep.matrices)
-        mats[a] = RatMatrix(rows)
-        with pytest.raises(NotInImageError):
-            reconstruct(QuiverRep(4, mats))
+        stop = moduli._sweep(QuiverRep(4, {**rep.matrices, a: RatMatrix(rows)}))[2]
+        head = q.vertices.index(a.head)
+        assert head < stop < len(q.vertices) if a.head == (1, 0) else stop == head, a
+
+
+def check_first_reconstruct(rep: QuiverRep):
+    """Oracle of the check-first reconstruct: check_relations, then
+    check_stability, then a sweep that solves each block on the pivot
+    columns of the canonical incoming matrix.  The refusal it raises, or
+    the point and gauge."""
+    violations = check_relations(rep)
+    if violations:
+        r = violations[0].relation
+        raise RelationsViolatedError(
+            f"{len(violations)} relation(s) violated; first: {r.family} {r.indices} at {r.tail} -> {r.head}"
+        )
+    stability = check_stability(rep)
+    if not stability.ok:
+        raise NotStableError(f"rank-deficient at {[e.vertex for e in stability.entries if not e.ok]}")
+    q = rep.quiver
+    point = reduce_point(assemble_W(rep, (1, 0)))
+    canonical = embed(point)
+    blocks = {(0, 0): RatMatrix.identity(1)}
+    for v in q.vertices[1:]:
+        canon = assemble_W(canonical, v)
+        cols = canon.pivot_columns()
+        ordered = sorted(q.arrows_into(v), key=lambda a: (a.direction, a.rho))
+        actual = RatMatrix.hstack([rep.matrices[a] * blocks[a.tail] for a in ordered])
+        g = actual.take_columns(cols) * canon.take_columns(cols).invert()
+        if actual != g * canon:
+            raise NotInImageError(f"incoming matrices at {v} do not match the embedding")
+        blocks[v] = g
+    return point, blocks
+
+
+def verdict(fn, rep):
+    try:
+        point, gauge = fn(rep)
+    except (RelationsViolatedError, NotStableError, NotInImageError) as exc:
+        return type(exc), str(exc)
+    return point, gauge if isinstance(gauge, dict) else gauge.blocks
+
+
+def rank_one_rep(n: int, seed: str) -> QuiverRep:
+    """A scrambled representation built from a rank-one 2 x n matrix: every
+    relation holds, every incoming matrix at (1, 0) has rank one."""
+    rng = random.Random(seed)
+    v = (rng.randint(1, 9), rng.randint(-9, 9))
+    scale = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+    q = build_quiver(n)
+    mats = {}
+    for a in q.arrows:
+        x = (scale[a.rho - 1] * v[0], scale[a.rho - 1] * v[1])
+        mats[a] = (f_matrix if a.direction == 1 else g_matrix)(q.vertex_dim(a.tail), x)
+    return scramble(QuiverRep(n, mats), random_gauge(n, seed))
+
+
+def perturbed_reps(n: int):
+    """A scrambled embedding with +1 on one entry of one arrow, for every
+    arrow: once in a column of the arrow that holds part of the identity
+    pivot block at its head, and once in a column that does not."""
+    y = random_point(n, f"refusal:{n}")
+    rep = scramble(embed(y), random_gauge(n, f"refusal:{n}"))
+    q = rep.quiver
+    p, r = (c + 1 for c in y.pivot_cols)
+    pivot_cols = {a: cols for v in q.vertices[1:] for a, cols in moduli._pivot_block(q, v, p, r)}
+    for a in q.arrows:
+        m = rep.matrices[a]
+        chosen = pivot_cols.get(a, ())
+        others = [j for j in range(m.cols) if j not in chosen]
+        for i, j in [(0, c) for c in chosen[:1]] + [(m.rows - 1, c) for c in others[-1:]]:
+            rows = [list(m.row(k)) for k in range(m.rows)]
+            rows[i][j] += 1
+            yield QuiverRep(n, {**rep.matrices, a: RatMatrix(rows)})
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_refusals_match_the_check_first_order(n):
+    """Every +1 perturbation of a scrambled embedding (pivot and non-pivot
+    entries of every arrow), rank-one representations and a singular top
+    block: the same exception class and message as the check-first
+    oracle, or the same point and gauge."""
+    reps = list(perturbed_reps(n)) + [rank_one_rep(n, f"rank one:{n}:{t}") for t in range(3)]
+    top = build_quiver(n).vertices[-1]
+    rep = embed(random_point(n, "top"))
+    reps.append(QuiverRep(n, {**rep.matrices, **{a: RatMatrix.zeros(*rep.matrices[a].shape) for a in rep.quiver.arrows_into(top)}}))
+    kinds = Counter()
+    for rep in reps:
+        expect = verdict(check_first_reconstruct, rep)
+        assert verdict(reconstruct, rep) == expect
+        kinds[expect[0].__name__ if isinstance(expect[0], type) else "accepted"] += 1
+    assert kinds["RelationsViolatedError"] > 2 * n and kinds["NotStableError"] >= 4
+
+
+def flip_g_x2(monkeypatch) -> None:
+    """Flip the sign of the x2 band of g in every banded matrix: the
+    premise's (kq.moduli's binding of _banded) and step_matrix's, which
+    embeddings and the sweep read."""
+    banded = fibers._banded
+    flipped = lambda k, horizontal, a1, a2, d: banded(k, horizontal, a1, a2 if horizontal else -a2, d)  # noqa: E731
+    monkeypatch.setattr(moduli, "_banded", flipped)
+    monkeypatch.setattr(fibers, "_banded", flipped)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_relations_vanish_on_every_embedding(n):
+    """The premise holds, and its classes are those of the relation rows
+    with index pair (1, 2), (2, 1) or (1, 1), one per family, lam1 - lam2
+    and pair."""
+    assert moduli._relations_vanish(n)
+    q = build_quiver(n)
+    rows = {
+        (family, lam[0] - lam[1], ij)
+        for lam, _, family in p2_pairs(q)
+        for ij, _ in quiver.relation_rows(q, lam, family)
+        if ij in ((1, 2), (2, 1), (1, 1))
+    }
+    assert moduli._relation_classes(q) == rows
+    assert len(rows) == {6: 17, 7: 22, 12: 47}.get(n, len(rows))
+
+
+def test_a_failed_premise_refuses_what_the_sweep_solves(monkeypatch):
+    """With g's x2 band flipped the relations no longer vanish on
+    embeddings, and the premise says so at n=5.  The sweep then solves a
+    scrambled mutated embedding, so reconstruct must refuse it from the
+    full relation scan, with the message of the check-first order; with
+    the premise forced true it would accept.  The unmutated embedding
+    keeps every relation and now fails the sweep: not in the image."""
+    y, h = random_point(5, "premise"), random_gauge(5, "premise")
+    genuine = embed(y)
+    moduli._relations_vanish.cache_clear()
+    try:
+        flip_g_x2(monkeypatch)
+        assert not moduli._relations_vanish(5)
+        rep = scramble(embed(y), h)
+        assert moduli._sweep(rep)[2] == len(rep.quiver.vertices)
+        expect = verdict(check_first_reconstruct, rep)
+        assert expect[0] is RelationsViolatedError
+        assert verdict(reconstruct, rep) == expect
+        with monkeypatch.context() as m:
+            m.setattr(moduli, "_relations_vanish", lambda n: True)
+            assert reconstruct(rep)[0] == y
+        expect = verdict(check_first_reconstruct, genuine)
+        assert expect[0] is NotInImageError
+        assert verdict(reconstruct, genuine) == expect
+    finally:
+        moduli._relations_vanish.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_pivot_block_is_the_leftmost_identity(n):
+    """For pivot columns (1, 2), (1, 3) and (3, 4), at every non-source
+    vertex, the columns of _pivot_block are the pivot columns of the
+    canonical incoming matrix and select the identity from it."""
+    q = build_quiver(n)
+    rng = random.Random(f"pivots:{n}")
+    for p, r in ((1, 2), (1, 3), (3, 4)):
+        rows = [[0] * n, [0] * n]
+        for j in range(p, n):
+            rows[0][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            rows[1][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if j >= r else 0
+        rows[0][p - 1], rows[0][r - 1], rows[1][r - 1] = 1, 0, 1
+        y = GrPoint(RatMatrix(rows))
+        assert y.pivot_cols == (p - 1, r - 1)
+        canonical = embed(y)
+        for v in q.vertices[1:]:
+            offsets, at = {}, 0
+            for a in sorted(q.arrows_into(v), key=lambda a: (a.direction, a.rho)):
+                offsets[a], at = at, at + q.vertex_dim(a.tail)
+            cols = [offsets[a] + c for a, block in moduli._pivot_block(q, v, p, r) for c in block]
+            canon = assemble_W(canonical, v)
+            assert cols == canon.pivot_columns(), (p, r, v)
+            assert canon.take_columns(cols) == RatMatrix.identity(q.vertex_dim(v))
 
 
 def test_reconstruct_handles_nonstandard_pivots():
