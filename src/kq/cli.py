@@ -209,7 +209,8 @@ def _roundtrip_once(n: int, seed, trial: int) -> dict:
         entry["error"] = str(exc)
         return entry
     entry["point_match"] = recovered == y
-    entry["rep_match"] = moduli.scramble(moduli.embed(recovered), gauge) == rep
+    g, back = gauge.blocks, moduli.embed(recovered)  # rep == scramble(back, gauge), inverting no g[v]
+    entry["rep_match"] = all(rep.matrix(a) * g[a.tail] == g[a.head] * m for a, m in back.matrices.items())
     entry["ok"] = entry["point_match"] and entry["rep_match"]
     return entry
 

@@ -289,7 +289,3 @@ class SparseEchelon:
             if g == 1:
                 return v
         return {c: x // g for c, x in v.items()} if g > 1 else v
-
-    def basis(self) -> list[dict[int, int]]:
-        return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
-

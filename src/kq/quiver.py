@@ -9,26 +9,21 @@ and a three-term exchange around each square).  The degree-two relations
 are one integer table, relation_rows: per relation its index pair and
 its terms (c, first, second), first and second indices into q.arrows.
 A relation element is a view of one row, whose integer terms the
-relation check in kq.moduli reads; the PBW premise reads the same rows,
-eliminating the ideal over the letter columns below in degrees two and
-three only (see kernel_report).
+relation check in kq.moduli reads; the PBW premise reads the same rows.
 
 A path is a tuple of the quiver's arrows, tail first, so its first
-arrow is the rightmost factor of the product.  A path of L arrows has
-the column
-sum(letter_i * (2n)**(L-1-i)), letter = 2(rho - 1) + direction - 1, the
-tail arrow most significant; so the smallest column of a row is its
-leading term when paths compare arrow by arrow from the tail, smaller
-rho first and horizontal first at equal rho.
-Twisted pairs (lam + (t, t), mu + (t, t)) share one set of degree-two
-rows, one normal count and one certificate, cached under the pair with
-lam2 = 0 (see _untwist).
+arrow is the rightmost factor of the product.  An arrow has the letter
+2(rho - 1) + direction - 1; a path is normal when its letters weakly
+decrease from the tail.  The PBW premise reads columns 1-3 only, as
+base-6 letter columns, and in degrees two and three the pivots of the
+ideal must be exactly the non-normal paths (see _pbw_premise).  Twisted
+pairs (lam + (t, t), mu + (t, t)) share their caches (see _untwist).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 
@@ -354,51 +349,62 @@ def containment_pairs(q: TiltingQuiver, max_degree: int, min_degree: int = 1) ->
     return out
 
 
+COLUMNS, RADIX = 3, 6  # the PBW premise reads columns 1-3, letters 0..5; _pbw_premise says why
+
+
 def _letter_rows(q: TiltingQuiver, lam, mu) -> list[dict[int, int]]:
-    """The degree-two relations lam -> mu as dicts from letter column to
-    coefficient, in relation_rows order; built once per twist class."""
+    """The degree-two relations lam -> mu with indices i, j <= 3 as dicts from
+    letter column to coefficient, in relation_rows order; once per twist class."""
     key = _untwist(lam, mu)
     if key not in q._letter_rows:
-        arrows, radix = q.arrows, 2 * q.n
         q._letter_rows[key] = [
-            {arrows[a].letter * radix + arrows[b].letter: c for c, a, b in terms}
-            for _, terms in relation_rows(q, key[0], p2_family(q, *key))
+            {q.arrows[a].letter * RADIX + q.arrows[b].letter: c for c, a, b in terms}
+            for ij, terms in relation_rows(q, key[0], p2_family(q, *key))
+            if max(ij) <= COLUMNS
         ]
     return q._letter_rows[key]
 
 
 def _pbw_premise(q: TiltingQuiver, lam, mu) -> bool:
-    """The PBW premise at a pair of degree two or three, read off the
-    slice of the ideal there, eliminated over letter columns.  In degree
-    two the slice is spanned by the relations, and its leading columns
-    (the smallest column of each row, its pivot) must be exactly the
-    2-paths that are not normal, those whose second letter exceeds the
-    first.  In degree three it is spanned by the relations extended by
-    one arrow a at the head (column c goes to c * 2n + letter(a)) or at
-    the tail (to letter(a) * (2n)**2 + c), and must have dimension
-    path_count - normal_count."""
+    """The PBW premise at a pair of degree two or three, on the arrows of
+    columns 1-3: the pivots of the slice of the ideal there (each echelon
+    row's smallest column, its leading term) are exactly the paths that
+    are not normal, those with some letter above the one before it.  A
+    path's column is the base-6 number of its letters, tail first.  The
+    slice is spanned by the relations in degree two, and in degree three
+    by them extended by an arrow a at the head (column c to
+    c * 6 + letter(a)) or at the tail (to letter(a) * 36 + c).
+
+    Three columns decide the premise for every n and any relation table.
+    Relations are homogeneous in content, so a slice of degree at most
+    three splits into content blocks of at most three distinct columns,
+    and its pivots are theirs.  Relabelling the columns in order keeps
+    the letter order, relation_rows (which read only the order type of
+    (i, j)) and family_coefficients (which read only lam1 - lam2), so
+    every block is a block on columns 1-3.  The column order is
+    multiplicative, so once the degree-two premises inside a degree-three
+    pair hold, its pivots include every non-normal path, and the premise
+    is the count rank = paths - normal paths."""
     lam, mu = tuple(lam), tuple(mu)
-    radix = 2 * q.n
-    ech = SparseEchelon()
-    if (mu[0] - lam[0]) + (mu[1] - lam[1]) == 2:
-        for row in _letter_rows(q, lam, mu):
-            ech.insert(row)
-        rule = {
-            a.letter * radix + b.letter
-            for a in q.arrows_from(lam)
-            for b in q.arrows_from(a.head)
-            if b.head == mu and b.letter > a.letter
-        }
-        return set(ech.pivot_rows) == rule
-    for a in q.arrows_into(mu):
-        if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
-            for row in _letter_rows(q, lam, a.tail):
-                ech.insert({c * radix + a.letter: x for c, x in row.items()})
-    for a in q.arrows_from(lam):
-        if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
-            for row in _letter_rows(q, a.head, mu):
-                ech.insert({a.letter * radix**2 + c: x for c, x in row.items()})
-    return ech.rank == path_count(q, lam, mu) - normal_count(q, lam, mu)
+
+    def inside(a):  # an arrow of columns 1-3 between vertices of [lam, mu]
+        return (a.rho <= COLUMNS and lam[0] <= a.tail[0] and lam[1] <= a.tail[1]
+                and a.head[0] <= mu[0] and a.head[1] <= mu[1])
+    degree, ech = (mu[0] - lam[0]) + (mu[1] - lam[1]), SparseEchelon()
+    if degree == 2:
+        rows = _letter_rows(q, lam, mu)
+    else:
+        rows = [{c * RADIX + a.letter: x for c, x in row.items()} for a in q.arrows_into(mu) if inside(a)
+                for row in _letter_rows(q, lam, a.tail)]
+        rows += [{a.letter * RADIX**2 + c: x for c, x in row.items()} for a in q.arrows_from(lam) if inside(a)
+                 for row in _letter_rows(q, a.head, mu)]
+    for row in rows:
+        ech.insert(row)
+    words = [((), lam)]  # the letters of the paths from lam in columns 1-3, with their heads
+    for _ in range(degree):
+        words = [(w + (a.letter,), a.head) for w, v in words for a in q.arrows_from(v) if inside(a)]
+    leads = {reduce(lambda c, l: c * RADIX + l, w) for w, _ in words if any(x < y for x, y in zip(w, w[1:]))}
+    return set(ech.pivot_rows) == leads
 
 
 def _premise_failure(q: TiltingQuiver, lam, mu) -> tuple | None:
@@ -428,26 +434,23 @@ def kernel_report(q: TiltingQuiver, lam, mu) -> dict:
 
     When the PBW premise holds at every pair of degree two and three
     inside [lam, mu], quotient_dim = normal_count exactly, with no slice
-    above degree three built and no path enumerated: the normal paths
-    are a basis of the quotient.  Every path lam -> mu runs through
-    vertices of the interval, so I_{lam mu} is the slice of the ideal
-    that the relations between those vertices generate in the subquiver
-    of the interval.  Paths of one length, compared by their letter
-    columns, are ordered by a monomial order; by the degree-two premise
-    the leading terms of the quadratic relations are exactly the 2-paths
-    that are not normal, so the normal paths, the paths that contain
-    none of them, span the quotient in every degree.  The degree-three
-    premise says they are a basis in degree three, where the overlaps of
-    two leading 2-paths live; by the diamond lemma (Bergman, Adv. Math.
-    29, 1978; Polishchuk-Positselski, Quadratic Algebras, ch. 4) every
-    overlap then resolves, and they are a basis in every degree.
+    above degree three built and no path enumerated.  Every path
+    lam -> mu runs through vertices of the interval, so I_{lam mu} is the
+    slice of the ideal that the relations between those vertices
+    generate.  The letter columns order the paths of one length by a
+    monomial order, and by the premise the leading terms in degrees two
+    and three are exactly the paths that are not normal.  So the normal
+    paths span the quotient in every degree and are a basis in degree
+    three, where the overlaps of two leading 2-paths live; by the diamond
+    lemma (Bergman, Adv. Math. 29, 1978; Polishchuk-Positselski,
+    Quadratic Algebras, ch. 4) every overlap then resolves, and they are
+    a basis in every degree.
 
     Otherwise (under a changed relation table, say) the report has
     status 'inconclusive', ok false, no ideal_dim or quotient_dim, and
     names in premise_failed the first pair whose premise failed (see
     _premise_failure).  A pair that is not strictly contained is refused
-    before any count, row or premise is cached.
-    """
+    before any count, row or premise is cached."""
     lam, mu = tuple(lam), tuple(mu)
     paths = path_count(q, lam, mu)
     report = {"lam": list(lam), "mu": list(mu), "paths": paths}

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kq import fibers
+from kq import fibers, moduli
 from kq.cli import run
 from kq.linalg import RatMatrix
 from kq.moduli import QuiverRep, embed, random_gauge, random_point, scramble
@@ -130,6 +130,25 @@ def test_roundtrip_command(capsys):
     assert code == 0
     assert report["results"] == {"trials": 3, "failures": [], "ok": True}
     assert report["inputs"]["seed"] == "7"
+
+
+def test_roundtrip_sees_a_wrong_gauge(monkeypatch, capsys):
+    """rep_match compares the input with the recovered point's embedding
+    under the recovered gauge: with the gauge block at (1, 0) doubled the
+    point still matches, the representation does not, and the command
+    exits 1."""
+    original = moduli.reconstruct
+
+    def doubled(rep):
+        point, gauge = original(rep)
+        b = gauge.blocks[(1, 0)]
+        twice = RatMatrix([[2 * x for x in b.row(i)] for i in range(b.rows)])
+        return point, moduli.GaugeElement(rep.n, {**gauge.blocks, (1, 0): twice})
+
+    monkeypatch.setattr(moduli, "reconstruct", doubled)
+    code, report = invoke_json(capsys, "roundtrip", "--n", "5", "--trials", "1")
+    assert code == 1
+    assert report["results"]["failures"] == [{"trial": 0, "ok": False, "point_match": True, "rep_match": False}]
 
 
 def test_embed_check_reconstruct_files(tmp_path, capsys):

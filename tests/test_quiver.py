@@ -292,6 +292,11 @@ def _route_first_column(q, path):
     return route * q.n ** len(path) + word
 
 
+def _basis(ech):
+    """An echelon's rows in pivot order."""
+    return [ech.pivot_rows[p] for p in sorted(ech.pivot_rows)]
+
+
 def _path_keyed_slice(q, lam, mu, cache, column=_letter_column):
     """Reference: the ideal slice grown degree by degree over arrow
     tuples, each extended path keyed by column(q, path).  Returns the
@@ -308,12 +313,12 @@ def _path_keyed_slice(q, lam, mu, cache, column=_letter_column):
         for a in q.arrows_into(mu):
             if lam[0] <= a.tail[0] and lam[1] <= a.tail[1]:
                 sub_ech, sub_paths = _path_keyed_slice(q, lam, a.tail, cache, column)
-                for row in sub_ech.basis():
+                for row in _basis(sub_ech):
                     ech.insert({column(q, sub_paths[c] + (a,)): x for c, x in row.items()})
         for a in q.arrows_from(lam):
             if a.head[0] <= mu[0] and a.head[1] <= mu[1]:
                 sub_ech, sub_paths = _path_keyed_slice(q, a.head, mu, cache, column)
-                for row in sub_ech.basis():
+                for row in _basis(sub_ech):
                     ech.insert({column(q, (a,) + sub_paths[c]): x for c, x in row.items()})
     cache[(lam, mu)] = (ech, paths)
     return ech, paths
@@ -617,3 +622,80 @@ def test_the_degree_two_premise_sees_a_changed_leading_term(monkeypatch):
     q = TiltingQuiver(5)  # fresh instance: the slices of the broken table
     failing = [pair for pair in containment_pairs(q, 2, min_degree=2) if not quiver._pbw_premise(q, *pair)]
     assert failing == [(lam, mu) for lam, mu, family in p2_pairs(q) if family == "ff"]
+
+
+# Changed relation tables: per name, the RELATION_TERMS entries and the
+# family_coefficients values (by family, as functions of d = lam1 - lam2)
+# that replace the real ones.
+CHANGED_TABLES = {
+    "real": ({}, {}),
+    "ff unswapped": ({"ff": ((1, 1, False), (1, 1, False))}, {}),
+    "gg unswapped": ({"gg": ((2, 2, False), (2, 2, False))}, {}),
+    "square (d, -(d + 2), 2)": ({}, {"square": lambda d: (d, -(d + 2), 2)}),
+    "diag (1, -1)": ({}, {"diag": lambda d: (1, -1)}),
+    "ff (1, 1)": ({}, {"ff": lambda d: (1, 1)}),
+}
+
+
+def _use_table(monkeypatch, name):
+    terms, coefficients = CHANGED_TABLES[name]
+    for family, entry in terms.items():
+        monkeypatch.setitem(quiver.RELATION_TERMS, family, entry)
+    original = quiver.family_coefficients
+
+    def changed(family, lam):
+        return coefficients[family](lam[0] - lam[1]) if family in coefficients else original(family, lam)
+
+    monkeypatch.setattr(quiver, "family_coefficients", changed)
+
+
+def _not_normal(path):
+    """Some letter of the path is above the one before it."""
+    return any(a.letter < b.letter for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("table", CHANGED_TABLES)
+def test_three_columns_decide_the_premise_of_every_n(monkeypatch, table):
+    """The premise on columns 1-3 equals the leading-term premise over all
+    n columns (the reference slice over radix-2n letter columns) at every
+    pair of degree two and three of n = 4..6, under the real table and
+    changed ones."""
+    _use_table(monkeypatch, table)
+    for n in (4, 5, 6):
+        q, reference = TiltingQuiver(n), {}  # fresh instance: the slices of this table
+        for lam, mu in containment_pairs(q, 3, min_degree=2):
+            leads = {_letter_column(q, p) for p in enumerate_paths(q, lam, mu) if _not_normal(p)}
+            expect = _lead_terms(q, lam, mu, reference) == leads
+            assert quiver._pbw_premise(q, lam, mu) == expect, (table, n, lam, mu)
+
+
+@pytest.mark.parametrize("table", CHANGED_TABLES)
+def test_the_premise_is_the_count_where_degree_two_holds(monkeypatch, table):
+    """At a degree-three pair whose degree-two premises inside all hold,
+    the premise is the count criterion over all n columns: the slice has
+    dimension path_count - normal_count."""
+    _use_table(monkeypatch, table)
+    checked = refuted = 0
+    for n in (4, 5, 6):
+        q, reference = TiltingQuiver(n), {}
+        for lam, mu in containment_pairs(q, 3, min_degree=3):
+            inside = [(low, high) for low, high in containment_pairs(q, 2, min_degree=2)
+                      if lam[0] <= low[0] and lam[1] <= low[1] and high[0] <= mu[0] and high[1] <= mu[1]]
+            if all(quiver._pbw_premise(q, *pair) for pair in inside):
+                count = _path_keyed_slice(q, lam, mu, reference)[0].rank == path_count(q, lam, mu) - normal_count(q, lam, mu)
+                assert quiver._pbw_premise(q, lam, mu) == count, (table, n, lam, mu)
+                checked, refuted = checked + 1, refuted + (not count)
+    assert checked and (refuted > 0) == (table == "square (d, -(d + 2), 2)"), (checked, refuted)
+
+
+def test_a_degree_three_pair_names_itself_before_a_degree_two_pair_inside(monkeypatch):
+    """With diag coefficients (1, -1) the relation at i == j vanishes, so
+    the premise fails at every diag pair, (1, 1) -> (2, 2) among them.
+    The pair (1, 0) -> (2, 2) comes before it in containment_pairs order
+    and its own premise fails too, so it names itself, for every n."""
+    _use_table(monkeypatch, "diag (1, -1)")
+    for n in (4, 5, 6):
+        q = TiltingQuiver(n)
+        assert not quiver._pbw_premise(q, (1, 1), (2, 2)) and not quiver._pbw_premise(q, (1, 0), (2, 2))
+        report = kernel_report(q, (1, 0), (2, 2))
+        assert report["status"] == "inconclusive" and report["premise_failed"] == {"lam": [1, 0], "mu": [2, 2]}, n
