@@ -13,12 +13,20 @@ to name a refusal.  The point is read off the incoming matrix at (1, 0).
 At every later vertex v, in degree order, each arrow's matrix times the
 block already solved at its tail equals g_v times the embedded arrow; g_v
 is read off the columns where the canonical incoming matrix holds the
-identity, each arrow is checked exactly and g_v must have rank d_v.  A
-sweep through every vertex proves scramble(embed(point), gauge) == rep
-and stability; the relations then hold by a per-n certificate that they
-vanish on every embedding.  A sweep that stops at v leaves the relations
-with head before v and the vertices before v proven, so a refusal checks
-only the rest, in the order relations, stability, image.
+identity, each arrow is checked exactly and g_v must have rank d_v.
+Only the arrows of the point's pivot columns p and r are multiplied out.
+The check of the others is linear: (1) the embedded arrow E(x) is linear
+in the section x, the arrow's column of the point; (2) columns p and r
+are e1 and e2, so the arrow of column x = (c1, c2) is c1 E_p + c2 E_r;
+(3) g_tail is invertible, so once the arrows of columns p and r match,
+another arrow matches iff its matrix is c1 rep[a_p] + c2 rep[a_r], an
+integer comparison with no product, and the sweep stops at the same
+vertex as one that multiplies every arrow out.  A sweep through every
+vertex proves scramble(embed(point), gauge) == rep and stability; the
+relations then hold by a per-n certificate that they vanish on every
+embedding.  A sweep that stops at v leaves the relations with head
+before v and the vertices before v proven, so a refusal checks only the
+rest, in the order relations, stability, image.
 """
 
 from __future__ import annotations
@@ -113,6 +121,14 @@ class QuiverRep:
         self.quiver = q
         self.matrices = MappingProxyType(mats)
         self._packed = None  # see _packed_arrows
+
+    @classmethod
+    def _trusted(cls, n: int, mats: dict[Arrow, RatMatrix]) -> "QuiverRep":
+        """A representation from matrices already known to be one per arrow
+        with the right shape; nothing is checked again."""
+        rep = object.__new__(cls)
+        rep.n, rep.quiver, rep.matrices, rep._packed = n, build_quiver(n), MappingProxyType(mats), None
+        return rep
 
     def matrix(self, a: Arrow) -> RatMatrix:
         return self.matrices[a]
@@ -236,10 +252,13 @@ def embed(y: GrPoint) -> QuiverRep:
     horizontal arrow and the banded wedge-pairing matrix on every
     vertical arrow, fed by the arrow's column of the point."""
     q = build_quiver(y.n)
-    mats = {}
+    steps, mats = {}, {}  # one shared step matrix per (fiber dim, direction, column)
     for a in q.arrows:
-        mats[a] = step_matrix(y, q.vertex_dim(a.tail), a.direction == 1, a.rho)
-    return QuiverRep(y.n, mats)
+        key = (q.vertex_dim(a.tail), a.direction == 1, a.rho)
+        if key not in steps:
+            steps[key] = step_matrix(y, *key)
+        mats[a] = steps[key]
+    return QuiverRep._trusted(y.n, mats)
 
 
 def assemble_W(rep: QuiverRep, v) -> RatMatrix:
@@ -394,12 +413,17 @@ def scramble(rep: QuiverRep, g: GaugeElement) -> QuiverRep:
     if g.n != rep.n:
         raise ValueError("sizes differ")
     inv = {v: b.invert() for v, b in g.blocks.items()}
+    # per vertex, the rows of g_v and the columns of g_v^{-1}, sliced once
+    rows = {v: [b._n[i * b.cols : (i + 1) * b.cols] for i in range(b.rows)] for v, b in g.blocks.items()}
+    cols = {v: [b._n[j :: b.cols] for j in range(b.cols)] for v, b in inv.items()}
     mats = {}
     for a, m in rep.matrices.items():
-        h, t, (r, c) = g.blocks[a.head], inv[a.tail], m.shape
-        ints = _int_product(_int_product(h._n, m._n, r, r, c), t._n, r, c, c)
-        mats[a] = RatMatrix._raw(r, c, ints, h._d * m._d * t._d)
-    return QuiverRep(rep.n, mats)
+        c = m.cols
+        m_cols = [m._n[j::c] for j in range(c)]
+        left = [[sum(map(mul, x, y)) for y in m_cols] for x in rows[a.head]]
+        ints = [sum(map(mul, x, y)) for x in left for y in cols[a.tail]]
+        mats[a] = RatMatrix._raw(m.rows, c, ints, g.blocks[a.head]._d * m._d * inv[a.tail]._d)
+    return QuiverRep._trusted(rep.n, mats)
 
 
 def _relation_classes(q: TiltingQuiver) -> set[tuple[str, int, tuple[int, int]]]:
@@ -467,33 +491,68 @@ def _pivot_block(q: TiltingQuiver, v, p: int, r: int) -> tuple[tuple[Arrow, tupl
     return ((q.arrow((a, b - 1), 2, p), (1,)),)
 
 
+def _combines(rep: QuiverRep, arrows: list[Arrow], p: int, r: int, columns: list[tuple[int, int]], den: int) -> bool:
+    """Whether rep[a] == (c1 * rep[a_p] + c2 * rep[a_r]) / den for every
+    arrow a of `arrows`, the n parallel arrows of one tail and direction
+    in column order, with (c1, c2) = columns[a.rho - 1]; tested entrywise
+    on the integer forms, cross-multiplied over the three denominators.
+    The arrows of columns p and r, (den, 0) and (0, den), are skipped:
+    they combine trivially."""
+    mp, mr = rep.matrices[arrows[p - 1]], rep.matrices[arrows[r - 1]]
+    scale = den * mp._d * mr._d
+    xp, xr = [mr._d * x for x in mp._n], [mp._d * x for x in mr._n]
+    for a, (c1, c2) in zip(arrows, columns):
+        m = rep.matrices[a]
+        if a.rho != p and a.rho != r and any(scale * x != m._d * (c1 * y + c2 * z) for x, y, z in zip(m._n, xp, xr)):
+            return False
+    return True
+
+
 def _sweep(rep: QuiverRep) -> tuple[GrPoint | None, dict | None, int]:
     """Solve rep == scramble(embed(point), gauge) vertex by vertex:
     (point, blocks, len(q.vertices)) if every vertex was solved, else
     (None, None, the index in q.vertices of the vertex that failed).
 
     The point is reduce_point at (1, 0); a rank-deficient matrix there
-    fails (1, 0).  At each later vertex v, in degree order, M_a = rep[a]
-    times the block at a's tail for every arrow a into v; g_v is read off
-    the M_a at the identity pivot block of the canonical incoming matrix
-    (_pivot_block), and v is solved when every M_a equals g_v times the
-    embedded arrow and g_v has rank d_v.  So at every solved vertex
+    fails (1, 0).  At each later vertex v, in degree order, v is solved
+    when M_a = rep[a] times the block at a's tail equals g_v times the
+    embedded arrow E_a for every arrow a into v, and g_v has rank d_v;
+    g_v is read off the M_a at the identity pivot block of the canonical
+    incoming matrix (_pivot_block).  So at every solved vertex
     rep[a] = g_head * embed(point)[a] * g_tail^-1, and its incoming matrix,
     g_v times the canonical one times an invertible block diagonal, has
-    rank d_v."""
-    q = rep.quiver
+    rank d_v.
+
+    Only the arrows of the pivot columns p and r form M_a; the other
+    arrows are tested by linearity, with no product.  The n parallel
+    arrows a_1 .. a_n of one tail and direction carry E_rho = E(x_rho),
+    linear in the point's column x_rho = (c1, c2) / den; columns p and r
+    are e1 and e2, so E_rho = (c1 * E_p + c2 * E_r) / den.  Once M_p and
+    M_r match, M_rho == g_v E_rho is (rep[a_rho] - (c1 * rep[a_p] + c2 *
+    rep[a_r]) / den) * g_tail == 0, and g_tail is invertible (the 1 x 1
+    identity at the source, rank-checked at every later vertex): so
+    M_rho matches iff rep[a_rho] = (c1 * rep[a_p] + c2 * rep[a_r]) / den
+    (_combines).  The same vertices are solved, with the same blocks, as
+    by testing every M_a, and the sweep stops at the same vertex."""
+    q, n = rep.quiver, rep.n
     try:
         point = reduce_point(assemble_W(rep, (1, 0)))
     except RankDeficientError:
         return None, None, 1
     p, r = (c + 1 for c in point.pivot_cols)
+    e, den = point.matrix._n, point.matrix._d
+    columns = list(zip(e[:n], e[n:]))
     blocks = {SOURCE: RatMatrix.identity(1)}
     for stop, v in enumerate(q.vertices[1:], 1):
-        solved = {a: rep.matrices[a] * blocks[a.tail] for a in q.arrows_into(v)}
+        ins = q.arrows_into(v)  # in quiver order: n arrows, columns 1..n, per tail and direction
+        groups = [ins[i : i + n] for i in range(0, len(ins), n)]
+        solved = {a: rep.matrices[a] * blocks[a.tail] for arrows in groups for a in (arrows[p - 1], arrows[r - 1])}
         g = RatMatrix.hstack([solved[a].take_columns(cols) for a, cols in _pivot_block(q, v, p, r)])
         for a, m in solved.items():
             if m != g * step_matrix(point, q.vertex_dim(a.tail), a.direction == 1, a.rho):
                 return None, None, stop
+        if not all(_combines(rep, arrows, p, r, columns, den) for arrows in groups):
+            return None, None, stop
         if g.rank() < q.vertex_dim(v):
             return None, None, stop
         blocks[v] = g
@@ -551,7 +610,7 @@ def random_gauge(n: int, seed) -> GaugeElement:
     for v in q.vertices:
         d = q.vertex_dim(v)
         while True:
-            b = RatMatrix([[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)])
+            b = RatMatrix._raw(d, d, [rng.randint(-9, 9) for _ in range(d * d)], 1)
             if b.rank() == d:
                 blocks[v] = b
                 break

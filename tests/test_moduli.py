@@ -467,9 +467,7 @@ def test_relation_violation_names_the_relation_at_fault():
     rng = random.Random("named")
     for a in rng.sample(rep.quiver.arrows, 6):
         m = rep.matrices[a]
-        rows = [list(m.row(i)) for i in range(m.rows)]
-        rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += 1
-        bad = QuiverRep(5, {**rep.matrices, a: RatMatrix(rows)})
+        bad = moved(rep, a, rng.randrange(m.rows), rng.randrange(m.cols))
         with pytest.raises(RelationsViolatedError) as info:
             reconstruct(bad)
         count, family, indices, tail, head = pattern.match(str(info.value)).groups()
@@ -516,6 +514,25 @@ def test_scramble_reduces_each_arrow_once(monkeypatch):
         assert out.matrices[a] == g.blocks[a.head] * rep.matrices[a] * g.blocks[a.tail].invert(), a
 
 
+def test_scramble_is_the_blockwise_product_off_the_image():
+    """On inputs that are not embeddings (a rank-one representation and an
+    embedding with one entry moved) scramble is g_head * M * g_tail^-1 on
+    every arrow, and the validating constructor accepts what embed and
+    scramble build, arrow for arrow in the same order."""
+    for n in (4, 5):
+        g, e = random_gauge(n, f"off image:{n}"), embed(random_point(n, f"off image:{n}"))
+        q = e.quiver
+        outputs = [e]
+        for rep in (rank_one(n, f"off image:{n}"), moved(e, q.arrows_into((2, 1))[n - 1], 1, 0)):
+            out = scramble(rep, g)
+            for a in q.arrows:
+                assert out.matrices[a] == g.blocks[a.head] * rep.matrices[a] * g.blocks[a.tail].invert(), a
+            outputs.append(out)
+        for out in outputs:
+            again = QuiverRep(n, dict(out.matrices))
+            assert again == out and list(again.matrices) == list(out.matrices) == q.arrows
+
+
 def test_scramble_preserves_checks():
     for n in (4, 5):
         rep = embed(random_point(n, "covariant"))
@@ -550,14 +567,8 @@ def test_reconstruct_recovers_worked_point():
 
 def test_reconstruct_rejects_relation_violations():
     rep = embed(random_point(4, "reject"))
-    a = rep.quiver.arrow((2, 0), 2, 4)
-    m = rep.matrices[a]
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    rows[1][2] += 1
-    mats = dict(rep.matrices)
-    mats[a] = RatMatrix(rows)
     with pytest.raises(RelationsViolatedError):
-        reconstruct(QuiverRep(4, mats))
+        reconstruct(moved(rep, rep.quiver.arrow((2, 0), 2, 4), 1, 2))
 
 
 def test_reconstruct_rejects_unstable_input():
@@ -579,12 +590,77 @@ def test_sweep_stops_for_a_perturbed_arrow():
     q = rep.quiver
     assert moduli._sweep(rep)[2] == len(q.vertices)
     for a in q.arrows:
-        m = rep.matrices[a]
-        rows = [list(m.row(i)) for i in range(m.rows)]
-        rows[0][0] += 1
-        stop = moduli._sweep(QuiverRep(4, {**rep.matrices, a: RatMatrix(rows)}))[2]
+        stop = moduli._sweep(moved(rep, a, 0, 0))[2]
         head = q.vertices.index(a.head)
         assert head < stop < len(q.vertices) if a.head == (1, 0) else stop == head, a
+
+
+def per_arrow_sweep(rep: QuiverRep):
+    """Oracle of _sweep that uses no linearity: every arrow a into v is
+    tested as rep[a] times the block at a's tail against g_v times the
+    embedded arrow."""
+    q = rep.quiver
+    try:
+        point = reduce_point(assemble_W(rep, (1, 0)))
+    except fibers.RankDeficientError:
+        return None, None, 1
+    p, r = (c + 1 for c in point.pivot_cols)
+    blocks = {(0, 0): RatMatrix.identity(1)}
+    for stop, v in enumerate(q.vertices[1:], 1):
+        solved = {a: rep.matrices[a] * blocks[a.tail] for a in q.arrows_into(v)}
+        g = RatMatrix.hstack([solved[a].take_columns(cols) for a, cols in moduli._pivot_block(q, v, p, r)])
+        for a, m in solved.items():
+            if m != g * fibers.step_matrix(point, q.vertex_dim(a.tail), a.direction == 1, a.rho):
+                return None, None, stop
+        if g.rank() < q.vertex_dim(v):
+            return None, None, stop
+        blocks[v] = g
+    return point, blocks, len(q.vertices)
+
+
+def moved(rep: QuiverRep, a, i: int, j: int) -> QuiverRep:
+    """rep with +1 on entry (i, j) of the matrix of arrow a."""
+    m = rep.matrices[a]
+    rows = [list(m.row(k)) for k in range(m.rows)]
+    rows[i][j] += 1
+    return QuiverRep(rep.n, {**rep.matrices, a: RatMatrix(rows)})
+
+
+def zero_first_column_point(n: int) -> GrPoint:
+    """A point with column 1 zero, e1 in column 2, a nonzero multiple of e1
+    in column 3 and e2 in column 4: pivot columns (2, 4)."""
+    rng = random.Random(f"zero column:{n}")
+    rows = [[0, 1, Fraction(rng.randint(1, 9), rng.randint(1, 9)), 0], [0, 0, 0, 1]]
+    for _ in range(4, n):
+        for row in rows:
+            row.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return GrPoint(RatMatrix(rows))
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_sweep_by_linearity_matches_the_per_arrow_oracle(n):
+    """_sweep returns the oracle's (point, blocks, stop) on scrambled
+    embeddings at pivot columns (1, 2) and (2, 4), and, at every vertex
+    and for every tail and direction into it, with +1 moved into the
+    arrow of each pivot column, of column n right of them, and (at pivots
+    (2, 4)) of column 1 left of p and column 3 between p and r.  Each
+    moved entry stops the sweep, at the arrow's head past (1, 0)."""
+    q = build_quiver(n)
+    rng = random.Random(f"linear:{n}")
+    for y in (random_point(n, f"linear:{n}"), zero_first_column_point(n)):
+        p, r = (c + 1 for c in y.pivot_cols)
+        rep = scramble(embed(y), random_gauge(n, f"linear:{n}:{p}"))
+        accepted = moduli._sweep(rep)
+        assert accepted[0] == y and accepted == per_arrow_sweep(rep)
+        columns = {p, r, n} | ({1, 3} if p > 1 else set())
+        for stop, v in enumerate(q.vertices[1:], 1):
+            ins = q.arrows_into(v)
+            for a in (a for a in ins if a.rho in columns):
+                m = rep.matrices[a]
+                bad = moved(rep, a, rng.randrange(m.rows), rng.randrange(m.cols))
+                got = moduli._sweep(bad)
+                assert got == per_arrow_sweep(bad), (y.pivot_cols, a)
+                assert stop < got[2] < len(q.vertices) if v == (1, 0) else got[2] == stop, (y.pivot_cols, a)
 
 
 def check_first_reconstruct(rep: QuiverRep):
@@ -625,8 +701,8 @@ def verdict(fn, rep):
     return point, gauge if isinstance(gauge, dict) else gauge.blocks
 
 
-def rank_one_rep(n: int, seed: str) -> QuiverRep:
-    """A scrambled representation built from a rank-one 2 x n matrix: every
+def rank_one(n: int, seed: str) -> QuiverRep:
+    """The banded matrices of a rank-one 2 x n matrix on every arrow: every
     relation holds, every incoming matrix at (1, 0) has rank one."""
     rng = random.Random(seed)
     v = (rng.randint(1, 9), rng.randint(-9, 9))
@@ -636,7 +712,12 @@ def rank_one_rep(n: int, seed: str) -> QuiverRep:
     for a in q.arrows:
         x = (scale[a.rho - 1] * v[0], scale[a.rho - 1] * v[1])
         mats[a] = (f_matrix if a.direction == 1 else g_matrix)(q.vertex_dim(a.tail), x)
-    return scramble(QuiverRep(n, mats), random_gauge(n, seed))
+    return QuiverRep(n, mats)
+
+
+def rank_one_rep(n: int, seed: str) -> QuiverRep:
+    """rank_one, scrambled."""
+    return scramble(rank_one(n, seed), random_gauge(n, seed))
 
 
 def perturbed_reps(n: int):
@@ -653,9 +734,7 @@ def perturbed_reps(n: int):
         chosen = pivot_cols.get(a, ())
         others = [j for j in range(m.cols) if j not in chosen]
         for i, j in [(0, c) for c in chosen[:1]] + [(m.rows - 1, c) for c in others[-1:]]:
-            rows = [list(m.row(k)) for k in range(m.rows)]
-            rows[i][j] += 1
-            yield QuiverRep(n, {**rep.matrices, a: RatMatrix(rows)})
+            yield moved(rep, a, i, j)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -823,6 +902,36 @@ def test_random_gauge_deterministic_and_invertible():
     assert g == random_gauge(5, 42)
     for v, b in g.blocks.items():
         assert b * b.invert() == RatMatrix.identity(b.rows)
+
+
+def fraction_gauge(n: int, seed) -> tuple[dict, int]:
+    """Oracle of random_gauge's draw, each block built from Fraction
+    entries: d * d integers in [-9, 9], row by row, redrawn while
+    singular.  The blocks and the number of redraws."""
+    q = build_quiver(n)
+    rng = random.Random(f"gauge:{n}:{seed}")
+    blocks, redraws = {}, 0
+    for v in q.vertices:
+        d = q.vertex_dim(v)
+        while True:
+            b = RatMatrix([[Fraction(rng.randint(-9, 9)) for _ in range(d)] for _ in range(d)])
+            if b.rank() == d:
+                blocks[v] = b
+                break
+            redraws += 1
+    return blocks, redraws
+
+
+def test_random_gauge_draws_the_fraction_built_blocks():
+    """random_gauge draws from the same rng sequence as the Fraction-built
+    oracle, so it returns the same blocks, singular redraws included."""
+    redraws = 0
+    for n in range(4, 9):
+        for seed in (0, 1, 2, 42, "gauge", "3:5"):
+            blocks, count = fraction_gauge(n, seed)
+            assert random_gauge(n, seed).blocks == blocks, (n, seed)
+            redraws += count
+    assert redraws > 0
 
 
 def test_rep_json_roundtrip():
