@@ -5,8 +5,10 @@ matrix of the shape forced by the vertex dimensions (the fiber dimension
 lam1 - lam2 + 1 at each weight lam).  A point embeds by placing the two
 banded matrices on the arrows; stability of a representation is the
 full-rank condition on the concatenated incoming matrices at every
-non-source vertex, and the relation families must evaluate to zero
-(each relation is summed in integers over one common denominator).
+non-source vertex, and the relation families must evaluate to zero.
+One packed integer scan decides which relations fail (_nonvanishing);
+only a failed relation's residual is formed (evaluate_relation), summed
+in integers over one common denominator.
 
 Reconstruction inverts the embedding: it sweeps first, and checks only
 to name a refusal.  The point is read off the incoming matrix at (1, 0).
@@ -97,10 +99,8 @@ def _json_vertex(value, name: str) -> tuple[int, int]:
 
 
 class QuiverRep:
-    """Matrices on every arrow of the tilting quiver for Gr(n,2).
-
-    `matrices` is a read-only mapping, so the packed arrow rows that
-    evaluate_relation caches on the representation cannot go stale."""
+    """Matrices on every arrow of the tilting quiver for Gr(n,2), as a
+    read-only mapping."""
 
     def __init__(self, n: int, matrices: Mapping[Arrow, RatMatrix]):
         q = build_quiver(n)
@@ -120,14 +120,13 @@ class QuiverRep:
         self.n = n
         self.quiver = q
         self.matrices = MappingProxyType(mats)
-        self._packed = None  # see _packed_arrows
 
     @classmethod
     def _trusted(cls, n: int, mats: dict[Arrow, RatMatrix]) -> "QuiverRep":
         """A representation from matrices already known to be one per arrow
         with the right shape; nothing is checked again."""
         rep = object.__new__(cls)
-        rep.n, rep.quiver, rep.matrices, rep._packed = n, build_quiver(n), MappingProxyType(mats), None
+        rep.n, rep.quiver, rep.matrices = n, build_quiver(n), MappingProxyType(mats)
         return rep
 
     def matrix(self, a: Arrow) -> RatMatrix:
@@ -286,9 +285,6 @@ def check_stability(rep: QuiverRep) -> StabilityReport:
     return StabilityReport(tuple(entries), all(e.ok for e in entries))
 
 
-_zeros = lru_cache(maxsize=None)(RatMatrix.zeros)  # immutable, so one per shape
-
-
 @lru_cache(maxsize=None)
 def _relation_bound(q: TiltingQuiver) -> tuple[int, int]:
     """Over the arrow_terms (c, first, second) of the quiver's relations:
@@ -304,8 +300,7 @@ def _relation_bound(q: TiltingQuiver) -> tuple[int, int]:
 
 def _packed_arrows(rep: QuiverRep) -> tuple[list[int], list[list[tuple[int, ...]]], list[list[int]]]:
     """Per arrow, in quiver order: its denominator, its integer rows, and
-    each integer row packed into one integer, entry j at bit j * s.  Built
-    once per representation.
+    each integer row packed into one integer, entry j at bit j * s.
 
     The width s bounds every relation residual.  Take a relation with
     terms c_t * A_t * B_t, A_t and B_t the matrices of the path's second
@@ -320,28 +315,33 @@ def _packed_arrows(rep: QuiverRep) -> tuple[list[int], list[list[tuple[int, ...]
     U = W * N**2 * d**(2 * (T - 1)) in size; s is the bit length of U, so
     2**s > U.
     """
-    if rep._packed is None:
-        weight, most_terms = _relation_bound(rep.quiver)
-        mats = [rep.matrices[a] for a in rep.quiver.arrows]
-        top = max(max(map(abs, m._n)) for m in mats)
-        den = max(m._d for m in mats)
-        s = max(1, (weight * top * top * den ** (2 * most_terms - 2)).bit_length())
-        dens, rows, packed = [], [], []
-        for m in mats:
-            e, c = m._n, m.cols
-            mrows = [e[i * c : (i + 1) * c] for i in range(m.rows)]
-            dens.append(m._d)
-            rows.append(mrows)
-            packed.append([sum(map(lshift, r, range(0, c * s, s))) for r in mrows])
-        rep._packed = (dens, rows, packed)
-    return rep._packed
+    weight, most_terms = _relation_bound(rep.quiver)
+    mats = [rep.matrices[a] for a in rep.quiver.arrows]
+    top = max(max(map(abs, m._n)) for m in mats)
+    den = max(m._d for m in mats)
+    s = max(1, (weight * top * top * den ** (2 * most_terms - 2)).bit_length())
+    dens, rows, packed = [], [], []
+    for m in mats:
+        e, c = m._n, m.cols
+        mrows = [e[i * c : (i + 1) * c] for i in range(m.rows)]
+        dens.append(m._d)
+        rows.append(mrows)
+        packed.append([sum(map(lshift, r, range(0, c * s, s))) for r in mrows])
+    return dens, rows, packed
 
 
 def _nonvanishing(arrows: tuple, rels) -> list[RelationElement]:
     """The relations of rels that do not vanish on the representation
-    whose _packed_arrows are `arrows`, in order, by one integer per
-    residual row (see evaluate_relation).  The terms are summed over the
-    running product of their denominators, so no lcm is taken."""
+    whose _packed_arrows are `arrows`, in order: the one zero test of the
+    relation layer, one integer comparison per residual row.
+
+    With D and s as in _packed_arrows, row i of D times a residual, packed
+    like the arrow rows, is sum_t w_t * sum_k A_t[i][k] * b_k with
+    w_t = c_t * D / (dA_t dB_t) and b_k the packed rows of B_t; the terms
+    are summed over the running product of their denominators, so no lcm
+    is taken.  Every entry x_j of the row has |x_j| < 2**s, so the packed
+    value sum_j x_j 2**(j*s) is 0 only if x_0 is a multiple of 2**s, that
+    is 0, and so on up the row: a packed row is 0 only if every entry is."""
     dens, rows, packed = arrows
     out = []
     for rel in rels:
@@ -359,50 +359,30 @@ def _nonvanishing(arrows: tuple, rels) -> list[RelationElement]:
 
 
 def evaluate_relation(rep: QuiverRep, rel: RelationElement) -> RatMatrix:
-    """The matrix value of a relation element on the representation,
-    summed in integers over one common denominator.
-
-    The element's arrow_terms (c, first, second) are first tested for
-    zero one residual row at a time: row i of D times the residual (see
-    _packed_arrows), packed like the arrow rows, is sum_t w_t * sum_k
-    A_t[i][k] * b_k with w_t = c_t * D / (dA_t dB_t) and b_k the packed
-    rows of B_t.  Every entry x_j of the row has |x_j| < 2**s, so the
-    packed value sum_j x_j 2**(j*s) is 0 only if x_0 is a multiple of
-    2**s, that is 0, and so on up the row: one integer comparison per row
-    is exact.  A nonzero residual is sum_t c_t * (L / (dA_t dB_t)) *
-    A_t * B_t over L = lcm_t(dA_t dB_t), the products taken on the
-    integer forms.  An element of another n is refused: its arrow indices
-    name arrows of another quiver."""
+    """The matrix value of a relation element on the representation: for
+    its arrow_terms (c_t, first, second), with A_t and B_t the matrices of
+    the second and first arrows over the denominators dA_t and dB_t,
+    sum_t c_t * (L / (dA_t dB_t)) * A_t * B_t over L = lcm_t(dA_t dB_t),
+    the products taken on the integer forms.  An element of another n is
+    refused: its arrow indices name arrows of another quiver."""
     if rel.n != rep.n:
         raise ValueError(f"a relation of n={rel.n} on a representation of n={rep.n}")
-    q, terms = rep.quiver, rel.arrow_terms
+    q = rep.quiver
     d_head, d_tail = q.vertex_dim(rel.head), q.vertex_dim(rel.tail)
-    arrows = _packed_arrows(rep)
-    if not _nonvanishing(arrows, (rel,)):
-        return _zeros(d_head, d_tail)
-    dens = arrows[0]
-    deltas = [dens[first] * dens[second] for _, first, second in terms]
-    common = lcm(*deltas)
+    terms = [(c, rep.matrices[q.arrows[second]], rep.matrices[q.arrows[first]]) for c, first, second in rel.arrow_terms]
+    common = lcm(*(a._d * b._d for _, a, b in terms))
     total = [0] * (d_head * d_tail)
-    for (c, first, second), delta in zip(terms, deltas):
-        a, b = rep.matrices[q.arrows[second]], rep.matrices[q.arrows[first]]
-        w = c * (common // delta)
+    for c, a, b in terms:
+        w = c * (common // (a._d * b._d))
         total = [x + w * y for x, y in zip(total, _int_product(a._n, b._n, d_head, a.cols, d_tail))]
     return RatMatrix._raw(d_head, d_tail, total, common)
 
 
 def check_relations(rep: QuiverRep) -> list[RelationViolation]:
-    """Evaluate every relation of relation_sets, each from its integer
-    terms; return the nonzero residuals.  The packed rows that
-    evaluate_relation caches are dropped afterwards, so a representation
-    kept after its check does not hold them."""
-    out = []
-    for rel in relation_sets(rep.quiver):
-        residual = evaluate_relation(rep, rel)
-        if not residual.is_zero():
-            out.append(RelationViolation(rel, residual))
-    rep._packed = None
-    return out
+    """The relations of relation_sets that fail on the representation, in
+    order, found by one packed scan, each with its residual."""
+    failed = _nonvanishing(_packed_arrows(rep), relation_sets(rep.quiver))
+    return [RelationViolation(rel, evaluate_relation(rep, rel)) for rel in failed]
 
 
 def scramble(rep: QuiverRep, g: GaugeElement) -> QuiverRep:
@@ -579,7 +559,6 @@ def reconstruct(rep: QuiverRep) -> tuple[GrPoint, GaugeElement]:
     if stop < len(q.vertices) or not vanish:
         later = set(q.vertices[stop if vanish else 1 :])
         violated = _nonvanishing(_packed_arrows(rep), [r for r in _relation_elements(q) if r.head in later])
-        rep._packed = None
         if violated:
             r = violated[0]
             raise RelationsViolatedError(

@@ -220,19 +220,19 @@ def family_coefficients(family: str, lam) -> tuple[int, ...]:
     return (1, 1) if family == "diag" else (1, -1)
 
 
-def relation_rows(q: TiltingQuiver, lam, family: str | None) -> list[tuple[tuple[int, int], Terms]]:
-    """The degree-two relations of a family at lam as integer rows
-    ((i, j), terms), equal paths merged and zero terms dropped (no rows
-    for family None).  The square family takes every index pair (i, j);
-    the others are symmetric up to sign, so they take i <= j, and
-    'ff'/'gg' vanish at i == j."""
+def relation_rows(q: TiltingQuiver, lam, family: str | None, columns: int) -> list[tuple[tuple[int, int], Terms]]:
+    """The degree-two relations of a family at lam with indices i, j <= columns
+    as integer rows ((i, j), terms), equal paths merged and zero terms
+    dropped (no rows for family None).  The square family takes every
+    index pair (i, j); the others are symmetric up to sign, so they take
+    i <= j, and 'ff'/'gg' vanish at i == j."""
     if family is None:
         return []
     lam, index, arrows = tuple(lam), q._index, q.arrows
     steps = list(zip(RELATION_TERMS[family], family_coefficients(family, lam)))
     rows = []
-    for i in range(1, q.n + 1):
-        for j in range(1 if family == "square" else i, q.n + 1):
+    for i in range(1, columns + 1):
+        for j in range(1 if family == "square" else i, columns + 1):
             terms: dict[tuple[int, int], int] = {}
             for (first, second, swap), c in steps:
                 a = index[lam, first, j if swap else i]
@@ -247,7 +247,7 @@ def relation_set_for(q: TiltingQuiver, lam, mu) -> list[RelationElement]:
     """The basis of degree-two relations from lam to mu, as new elements
     (empty if the pair is not two steps apart)."""
     family = p2_family(q, lam, mu)
-    return [RelationElement(q, family, row) for row in relation_rows(q, lam, family)]
+    return [RelationElement(q, family, row) for row in relation_rows(q, lam, family, q.n)]
 
 
 def _relation_elements(q: TiltingQuiver) -> list[RelationElement]:
@@ -359,8 +359,7 @@ def _letter_rows(q: TiltingQuiver, lam, mu) -> list[dict[int, int]]:
     if key not in q._letter_rows:
         q._letter_rows[key] = [
             {q.arrows[a].letter * RADIX + q.arrows[b].letter: c for c, a, b in terms}
-            for ij, terms in relation_rows(q, key[0], p2_family(q, *key))
-            if max(ij) <= COLUMNS
+            for _, terms in relation_rows(q, key[0], p2_family(q, *key), COLUMNS)
         ]
     return q._letter_rows[key]
 

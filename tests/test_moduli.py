@@ -192,6 +192,12 @@ def assert_relations_match_oracle(rep: QuiverRep) -> None:
     assert [(v.relation, v.residual) for v in check_relations(rep)] == expect
 
 
+def reported(rep: QuiverRep, rel) -> RatMatrix | None:
+    """The residual check_relations reports for rel on rep, None if it
+    reports none: the packed zero test decides, evaluate_relation forms it."""
+    return next((v.residual for v in check_relations(rep) if v.relation == rel), None)
+
+
 def arrow_shape(q, a) -> tuple[int, int]:
     k = q.vertex_dim(a.tail)
     return (k + 1, k) if a.direction == 1 else (k - 1, k)
@@ -271,7 +277,7 @@ def test_packed_zero_test_separates_a_unit_from_a_full_slot(m, top, sign):
     big = 2**m
     residual = evaluate_relation(rep, rel)
     assert residual == RatMatrix([[sign * 2**top * big * big, -sign], [0, 0]])
-    assert residual == fraction_residual(rep, rel)
+    assert residual == fraction_residual(rep, rel) == reported(rep, rel)
     assert_relations_match_oracle(rep)
 
 
@@ -328,7 +334,8 @@ def test_packed_zero_test_separates_a_unit_from_any_lower_slot(dbits, nbits):
     """Residual rows [2**k / D, -1 / D] over six pairwise coprime
     denominators near 2**dbits, for every k within reach of numerators
     below 2**nbits: the row packs to 0 in slots of k bits, so the test
-    fails for any slot width the rep's denominators could still fill."""
+    fails for any slot width the rep's denominators could still fill, and
+    check_relations must report the relation with the oracle's residual."""
     dens = primes_above(2**dbits, 6)
     big = 2**nbits
     reach = (big * big * dens[2] * dens[3] * dens[4] * dens[5]).bit_length()
@@ -336,7 +343,7 @@ def test_packed_zero_test_separates_a_unit_from_any_lower_slot(dbits, nbits):
         for sign in (1, -1):
             rep, rel, common = coprime_square_rep(dens, big, sign * 2**k, -sign)
             expect = RatMatrix([[Fraction(sign * 2**k, common), Fraction(-sign, common)], [0, 0]])
-            assert evaluate_relation(rep, rel) == expect == fraction_residual(rep, rel), (k, sign)
+            assert evaluate_relation(rep, rel) == expect == fraction_residual(rep, rel) == reported(rep, rel), (k, sign)
 
 
 def coprime_pair(rng: random.Random, bits: int) -> tuple[int, int]:
@@ -371,7 +378,7 @@ def test_packed_zero_test_weighs_every_denominator(side, bits):
         rep = QuiverRep(4, mats)
         residual = fraction_residual(rep, rel)
         assert not residual.is_zero()
-        assert evaluate_relation(rep, rel) == residual
+        assert evaluate_relation(rep, rel) == residual == reported(rep, rel)
         assert_relations_match_oracle(rep)
 
 
@@ -392,22 +399,30 @@ def counted(calls: Counter, name: str, fn):
     return wrapper
 
 
-def test_one_check_evaluates_each_relation_once_from_one_relation_sets_call(monkeypatch):
+def test_one_check_scans_once_and_evaluates_only_the_violated_relations(monkeypatch):
     """kqbench/test_bench.py counts relation_sets and evaluate_relation calls
-    under its tracer; on a quiver with nothing cached, one check_relations
-    makes one relation_sets call and one evaluate_relation call per relation."""
-    calls = Counter()
-    relations = len(relation_sets(build_quiver(5)))
+    under its tracer.  On a quiver with nothing cached, one check_relations
+    makes one relation_sets call; the packed scan decides which relations
+    fail, so a valid rep evaluates none and a rep with one moved entry
+    evaluates each violated relation once."""
     mats = scramble(embed(random_point(5, "pins")), random_gauge(5, "pins")).matrices
+    a = build_quiver(5).arrow((1, 0), 1, 3)
+    rows = [list(mats[a].row(i)) for i in range(mats[a].rows)]
+    rows[0][1] += Fraction(1, 7)
     fresh = TiltingQuiver(5)
     monkeypatch.setattr(moduli, "build_quiver", lambda n: fresh)
-    rep = QuiverRep(5, mats)
-    assert rep.quiver is fresh
+    calls = Counter()
     for module in (moduli, quiver):
         monkeypatch.setattr(module, "relation_sets", counted(calls, "relation_sets", quiver.relation_sets))
     monkeypatch.setattr(moduli, "evaluate_relation", counted(calls, "evaluate_relation", moduli.evaluate_relation))
+    rep = QuiverRep(5, mats)
+    assert rep.quiver is fresh
     assert check_relations(rep) == []
-    assert calls == {"relation_sets": 1, "evaluate_relation": relations}
+    assert calls == {"relation_sets": 1}
+    calls.clear()
+    violations = check_relations(QuiverRep(5, {**mats, a: RatMatrix(rows)}))
+    assert violations and len({v.relation for v in violations}) == len(violations)
+    assert calls == {"relation_sets": 1, "evaluate_relation": len(violations)}
 
 
 def test_accepted_reconstruct_inverts_nothing_and_runs_no_check(monkeypatch):
@@ -775,7 +790,7 @@ def test_relations_vanish_on_every_embedding(n):
     rows = {
         (family, lam[0] - lam[1], ij)
         for lam, _, family in p2_pairs(q)
-        for ij, _ in quiver.relation_rows(q, lam, family)
+        for ij, _ in quiver.relation_rows(q, lam, family, n)
         if ij in ((1, 2), (2, 1), (1, 1))
     }
     assert moduli._relation_classes(q) == rows

@@ -210,7 +210,7 @@ def test_relation_rows_are_the_relation_elements(n):
     in the same order with the same coefficients."""
     q = build_quiver(n)
     for lam, mu, family in p2_pairs(q):
-        rows = relation_rows(q, lam, family)
+        rows = relation_rows(q, lam, family, n)
         rels = relation_set_for(q, lam, mu)
         assert len(rows) == len(rels) > 0
         for (indices, terms), rel in zip(rows, rels):
